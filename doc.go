@@ -174,8 +174,21 @@
 // deterministic simulator that revisits a state must replay it, so the
 // extrapolated span is exactly what execution would have produced. The
 // three-way equivalence suite diffs full Measurements (γ and contender
-// histograms and PMCs included) across all modes, and CI records a
-// scenario in all three and compares the JSONL bytes. Workloads that
+// histograms and PMCs included) across all modes, and CI records two
+// scenarios in all three — one of them an isolation-paired job with an
+// idle core — and compares the JSONL bytes.
+//
+// The fingerprint deliberately leaves out what no future step reads: a
+// finished core's next-free cycle, the markers of an instruction batch
+// that has fully issued, and a core's read point (the cycle of its latest
+// tick) outside such a batch. Hashed as distances to the clock, these
+// drift on every core that is not being ticked — forever on a halted
+// one — and such a run's state would never recur. For the same reason
+// the idle filler cores sim.Run
+// places on empty core slots run one iteration and halt: their single
+// instruction fetch is all the bus traffic an idle core makes, and once
+// halted they add a constant to the fingerprint, so isolation runs and
+// runs with idle slots settle and leap like contended ones. Workloads that
 // never settle into a period (aperiodic mixes) simply never leap — a
 // bounded observation budget then switches the detector off. Runs that
 // need exact per-event observation disable memoization automatically:

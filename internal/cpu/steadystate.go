@@ -36,14 +36,18 @@ func (c *Core) DigestState(h *statehash.Hash, now uint64) {
 		// and block every future match.
 		h.Add(0)
 	}
-	h.Add(now - c.now)
 	if c.now < c.batchEnd {
+		h.Add(now - c.now)
 		h.Add(c.batchEnd - now)
 		h.Add(uint64(c.batchOp))
 		h.Add(c.batchLat)
 	} else {
-		// The batch markers are stale (Counters reads them only while
-		// c.now < batchEnd); same growing-distance hazard as nextFree.
+		// The batch markers and the read point are stale: Counters reads
+		// them only while c.now < batchEnd, c.now only moves forward
+		// (Tick, SyncNow), and the next batch rewrites all of them
+		// together. Same growing-distance hazard as nextFree: a done or
+		// waiting core is not ticked, so its c.now falls ever further
+		// behind the clock.
 		h.Add(0)
 	}
 	h.Add(uint64(c.stallKind))

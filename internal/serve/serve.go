@@ -385,6 +385,12 @@ func (s *Server) finish(ps *planState, results []scenario.Result, err error) {
 func (s *Server) statusOf(ps *planState) PlanStatus {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
+	return s.statusLocked(ps)
+}
+
+// statusLocked is statusOf for a caller that already holds ps.mu, so a
+// handler can decide on and report the same snapshot.
+func (s *Server) statusLocked(ps *planState) PlanStatus {
 	c, sess := ps.plan, ps.sess
 	st := PlanStatus{
 		PlanInfo: store.PlanInfo{
@@ -492,14 +498,18 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 	var results []scenario.Result
 	if ps != nil {
 		ps.mu.Lock()
-		status := ps.status
+		complete := ps.status == StatusComplete
 		c, results = ps.plan, ps.results
+		var st PlanStatus
+		if !complete {
+			st = s.statusLocked(ps)
+		}
 		ps.mu.Unlock()
-		if status != StatusComplete {
-			// Not renderable (yet): report the live status so pollers can
-			// tell "wait" from "gone".
+		if !complete {
+			// Not renderable (yet): report the status that made the call,
+			// so pollers can tell "wait" from "gone".
 			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusConflict, s.statusOf(ps))
+			writeJSON(w, http.StatusConflict, st)
 			return
 		}
 	} else {

@@ -618,6 +618,39 @@ func TestServeDrain(t *testing.T) {
 	}
 }
 
+// TestServeDocNotReady pins the 409 contract of GET /doc: while a plan
+// cannot be rendered, the answer is 409 with the status that made that
+// call — queued or simulating, never complete — and once the plan
+// completes the same request answers 200.
+func TestServeDocNotReady(t *testing.T) {
+	gate := make(chan struct{})
+	srv := serve.New(&gateStore{Store: store.NewMem(), gate: gate}, serve.Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	st, _ := postPlan(t, ts.URL, fig7Body)
+	for i := 0; i < 20; i++ {
+		body, resp := getDoc(t, ts.URL, st.Hash, "")
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("doc of a held plan: HTTP %d, want 409", resp.StatusCode)
+		}
+		var got serve.PlanStatus
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("decode 409 body: %v", err)
+		}
+		if got.Status != serve.StatusQueued && got.Status != serve.StatusSimulating {
+			t.Fatalf("409 body reports status %q", got.Status)
+		}
+	}
+	close(gate)
+	if final := waitStatus(t, ts.URL, st.Hash); final.Status != serve.StatusComplete {
+		t.Fatalf("plan ended %q, want complete", final.Status)
+	}
+	if _, resp := getDoc(t, ts.URL, st.Hash, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("doc after completion: HTTP %d, want 200", resp.StatusCode)
+	}
+}
+
 // gateStore blocks every Get until the gate closes — the serve-side twin
 // of the store package's test helper.
 type gateStore struct {

@@ -23,7 +23,8 @@ type Workload struct {
 	// Contenders run on the remaining cores in order, skipping ScuaCore.
 	// They loop forever, so they never finish before the scua. Fewer
 	// contenders than cores leaves the rest idle; nil entries are idle
-	// cores too.
+	// cores too. An idle core fetches its one-line program once and then
+	// halts (see idleProgram).
 	Contenders []*isa.Program
 }
 
@@ -157,8 +158,8 @@ func Run(cfg Config, w Workload, opt RunOpts) (*Measurement, error) {
 	}
 
 	// Place programs: the scua on its core, contenders on the others in
-	// order. Cores without a contender run an idle nop loop so the RR
-	// port positions match the physical layout.
+	// order. Cores without a contender run one iteration of an idle
+	// program so the RR port positions match the physical layout.
 	full := make([]*isa.Program, 0, cfg.Cores)
 	fullIters := make([]uint64, 0, cfg.Cores)
 	ci := 0
@@ -173,11 +174,12 @@ func Run(cfg Config, w Workload, opt RunOpts) (*Measurement, error) {
 			p = w.Contenders[ci]
 		}
 		ci++
+		iters := uint64(0)
 		if p == nil {
-			p = idleProgram(core)
+			p, iters = idleProgram(core), 1
 		}
 		full = append(full, p)
-		fullIters = append(fullIters, 0)
+		fullIters = append(fullIters, iters)
 	}
 
 	sys, err := NewSystem(cfg, full, fullIters)
@@ -294,12 +296,12 @@ func RunIsolation(cfg Config, scua *isa.Program, opt RunOpts) (*Measurement, err
 	return Run(cfg, Workload{Scua: scua}, opt)
 }
 
-// idleProgram returns a minimal endless program for cores without work.
-// It never touches the bus after its first instruction fetch, so the
-// measured core cannot observe what it executes; a long-latency ALU loop
-// (rather than a 1-cycle nop loop) keeps the core quiescent for hundreds
-// of cycles at a time, which lets the idle-cycle fast path skip ahead in
-// isolation runs.
+// idleProgram returns the program of a core without work. Run bounds it to
+// one iteration — an instruction fetch over the bus, a long-latency ALU op
+// and the loop branch — after which the core halts in its done state. The
+// fetch is the only bus traffic it makes. A halted core adds a constant to
+// the steady-state fingerprint; a looping one's 256-cycle phase against the
+// scua's period would keep isolation runs from ever recurring.
 func idleProgram(core int) *isa.Program {
 	return &isa.Program{
 		Name:     fmt.Sprintf("idle-%d", core),

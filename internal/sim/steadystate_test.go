@@ -234,3 +234,107 @@ func TestSteadyStateBoundedContenders(t *testing.T) {
 		t.Errorf("steady-state engine deviates from oracle: %v vs %v", oracle, steady)
 	}
 }
+
+// withArbiters returns cfg under each arbiter whose state the detector can
+// digest (lottery's RNG never recurs, so it never leaps).
+func withArbiters(cfg Config) []Config {
+	var out []Config
+	for _, kind := range []ArbiterKind{ArbiterRR, ArbiterWRR, ArbiterTDMA, ArbiterFP} {
+		c := cfg
+		c.Arbiter = kind
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestSteadyStateIsolationEquivalence covers the runs that leap once idle
+// filler cores halt: the isolation half of every sweep point, on every
+// stock geometry plus a scaled one, under each digestible arbiter. The
+// workload is the one RunIsolation measures (the scua alone, every other
+// core idle).
+func TestSteadyStateIsolationEquivalence(t *testing.T) {
+	for _, base := range []Config{NGMPRef(), NGMPVar(), Toy(), Scaled(NGMPRef(), 6, 3, 6)} {
+		for _, cfg := range withArbiters(base) {
+			b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
+			b.Unroll = 2
+			for _, op := range []isa.Op{isa.OpLoad, isa.OpStore} {
+				for _, k := range []int{1, 12, 40} {
+					t.Run(fmt.Sprintf("%s-%s-%s-k%d", base.Name, cfg.Arbiter, op, k), func(t *testing.T) {
+						scua, err := b.RSKNop(0, op, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						runThreeWay(t, cfg, Workload{Scua: scua},
+							RunOpts{WarmupIters: 3, MeasureIters: 20, CollectGammas: true})
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestSteadyStateIdleSlotEquivalence puts the scua on a middle core with
+// nil contender slots around it, so halted idle cores sit on both sides of
+// the scua's port in the arbitration order.
+func TestSteadyStateIdleSlotEquivalence(t *testing.T) {
+	const scuaCore = 2
+	for _, cfg := range withArbiters(NGMPRef()) {
+		b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
+		b.Unroll = 2
+		rsk := func(core int, op isa.Op) *isa.Program {
+			p, err := b.RSK(core, op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		cases := []struct {
+			name       string
+			op         isa.Op
+			contenders []*isa.Program // cores 0, 1, 3 in order
+		}{
+			{"load-rsk-idle-rsk", isa.OpLoad, []*isa.Program{rsk(0, isa.OpLoad), nil, rsk(3, isa.OpLoad)}},
+			// The saturating store contender sits on core 3: under fixed
+			// priority a higher-priority one would starve the scua.
+			{"store-idle-idle-rsk", isa.OpStore, []*isa.Program{nil, nil, rsk(3, isa.OpStore)}},
+			{"load-all-idle", isa.OpLoad, []*isa.Program{nil}},
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s-%s", cfg.Arbiter, tc.name), func(t *testing.T) {
+				scua, err := b.RSKNop(scuaCore, tc.op, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runThreeWay(t, cfg, Workload{Scua: scua, ScuaCore: scuaCore, Contenders: tc.contenders},
+					RunOpts{WarmupIters: 3, MeasureIters: 25, CollectGammas: true})
+			})
+		}
+	}
+}
+
+// TestSteadyStateEngagesIsolation is the floor that keeps isolation runs
+// leaping: at the derive protocol (warmup 3, 20 iterations, unroll 2) an
+// isolation run on ref must extrapolate a large share of its cycles. A new
+// digest field that drifts with the clock, or an idle core that never
+// settles, turns leaping off silently — this test is what notices.
+func TestSteadyStateEngagesIsolation(t *testing.T) {
+	cfg := NGMPRef()
+	b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
+	b.Unroll = 2
+	for _, op := range []isa.Op{isa.OpLoad, isa.OpStore} {
+		scua, err := b.RSKNop(0, op, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ReadExecStats()
+		m, err := RunIsolation(cfg, scua, RunOpts{WarmupIters: 3, MeasureIters: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra := ReadExecStats().Extrapolated - before.Extrapolated
+		t.Logf("%s: %d of %d cycles extrapolated", op, extra, m.TotalCycles)
+		if extra*10 < m.TotalCycles*4 {
+			t.Errorf("%s isolation run extrapolated %d of %d cycles; want at least 40%%", op, extra, m.TotalCycles)
+		}
+	}
+}
