@@ -36,7 +36,9 @@ type Options struct {
 	// utilization during contended runs (default 0.9): Nc-1 rsk must
 	// saturate the bus "other than handshaking time".
 	UtilizationMin float64
-	// MaxUBD bounds the model-fit scan (default 8 * KMax).
+	// MaxUBD bounds the model-fit scan. The default is 4 × the series
+	// length, at least 16; ModelFitUBD further caps it at n·δnop/2, the
+	// largest ubd of which an n-point sweep covers two periods.
 	MaxUBD int
 }
 

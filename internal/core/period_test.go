@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -178,4 +181,238 @@ func TestPropExactPeriodIsMinimal(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// modelFitReference is the original cubic ModelFitUBD, kept as the
+// oracle the sweep is tested against: it recomputes and z-scores the
+// prediction of every (ubd, δ0) pair.
+func modelFitReference(d []float64, kmin int, deltaNop float64, maxUBD int) (ubd int, residual float64) {
+	n := len(d)
+	if n < 6 || maxUBD < 2 {
+		return 0, math.Inf(1)
+	}
+	dn := int(math.Round(deltaNop))
+	if dn < 1 {
+		dn = 1
+	}
+	obs := zscore(d)
+	if obs == nil {
+		return 0, math.Inf(1)
+	}
+	// A candidate is only identifiable when the sweep spans at least two
+	// of its periods in δ-space (n*dn cycles): otherwise a partial
+	// descending ramp fits every larger ubd equally well (ill-posed).
+	if cap := n * dn / 2; maxUBD > cap {
+		maxUBD = cap
+	}
+	best, bestRes := 0, math.Inf(1)
+	pred := make([]float64, n)
+	for cand := 2; cand <= maxUBD; cand++ {
+		for d0 := 0; d0 < cand; d0++ {
+			for i := 0; i < n; i++ {
+				pred[i] = float64(analytic.Gamma(d0+(kmin+i)*dn, cand))
+			}
+			zp := zscore(pred)
+			if zp == nil {
+				continue
+			}
+			var sse float64
+			for i := range obs {
+				diff := obs[i] - zp[i]
+				sse += diff * diff
+			}
+			sse /= float64(n)
+			if sse < bestRes {
+				best, bestRes = cand, sse
+			}
+		}
+	}
+	return best, bestRes
+}
+
+// zscore returns the standardized series, or nil for constant input.
+func zscore(d []float64) []float64 {
+	m := stats.Mean(d)
+	s := stats.Std(d)
+	if s == 0 {
+		return nil
+	}
+	out := make([]float64, len(d))
+	for i, x := range d {
+		out[i] = (x - m) / s
+	}
+	return out
+}
+
+// referenceResidualAt is modelFitReference's best residual for one
+// candidate ubd, over every δ0.
+func referenceResidualAt(d []float64, kmin int, deltaNop float64, cand int) float64 {
+	dn := max(1, int(math.Round(deltaNop)))
+	obs := zscore(d)
+	best := math.Inf(1)
+	pred := make([]float64, len(d))
+	for d0 := 0; d0 < cand; d0++ {
+		for i := range pred {
+			pred[i] = float64(analytic.Gamma(d0+(kmin+i)*dn, cand))
+		}
+		zp := zscore(pred)
+		if zp == nil {
+			continue
+		}
+		var sse float64
+		for i := range obs {
+			diff := obs[i] - zp[i]
+			sse += diff * diff
+		}
+		best = min(best, sse/float64(len(d)))
+	}
+	return best
+}
+
+// compareWithReference checks ModelFitUBD against modelFitReference on
+// one series. Both must return the same ubd, the same residual < 0.2
+// verdict and residuals within 1e-9. The one allowed difference is a
+// true tie: the sweep then returns the smaller ubd, and the reference's
+// own residual at that ubd is within 1e-9 of its best.
+func compareWithReference(d []float64, kmin int, deltaNop float64, maxUBD int) error {
+	got, gotRes := ModelFitUBD(d, kmin, deltaNop, maxUBD)
+	want, wantRes := modelFitReference(d, kmin, deltaNop, maxUBD)
+	if (gotRes < 0.2) != (wantRes < 0.2) {
+		return fmt.Errorf("verdicts differ: fit (%d, %g), reference (%d, %g)", got, gotRes, want, wantRes)
+	}
+	if math.IsInf(gotRes, 1) || math.IsInf(wantRes, 1) {
+		if got != want || gotRes != wantRes {
+			return fmt.Errorf("fit (%d, %g), reference (%d, %g)", got, gotRes, want, wantRes)
+		}
+		return nil
+	}
+	if math.Abs(gotRes-wantRes) > 1e-9 {
+		return fmt.Errorf("residuals differ: fit (%d, %g), reference (%d, %g)", got, gotRes, want, wantRes)
+	}
+	if got == want {
+		return nil
+	}
+	if got > want {
+		return fmt.Errorf("fit chose ubd %d over the reference's smaller %d (residuals %g, %g)", got, want, gotRes, wantRes)
+	}
+	if at := referenceResidualAt(d, kmin, deltaNop, got); at > wantRes+1e-9 {
+		return fmt.Errorf("fit chose ubd %d, but the reference scores it %g against %g at ubd %d: not a tie", got, at, wantRes, want)
+	}
+	return nil
+}
+
+// defaultMaxUBD is the scan bound detect passes when Options.MaxUBD is 0.
+func defaultMaxUBD(n int) int { return max(16, 4*n) }
+
+// fitGolden is one fit DocumentFor runs while rendering a plan: the
+// slowdown series and fit arguments, with the ubd and residual < 0.2
+// verdict the original cubic fit returned.
+type fitGolden struct {
+	Name      string    `json:"name"`
+	KMin      int       `json:"kmin"`
+	DeltaNop  float64   `json:"delta_nop"`
+	MaxUBD    int       `json:"max_ubd"`
+	UBD       int       `json:"ubd"`
+	Fits      bool      `json:"fits"`
+	Slowdowns []float64 `json:"slowdowns"`
+}
+
+// TestModelFitGoldenSeries replays the 46 fits behind the documents of
+// derive on ref and var, the stock abl-dnop, abl-arb and abl-scaling
+// plans, and the 24 derive geometries of cores 3–8 × l2hit {3, 6, 9, 12}
+// with kmax = 2·ubd + 8. Each name is the plan, with "#i" for its i-th
+// fit. The recorded ubd and verdict are modelFitReference's.
+func TestModelFitGoldenSeries(t *testing.T) {
+	f, err := os.Open("testdata/modelfit-golden.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	count := 0
+	for dec.More() {
+		var g fitGolden
+		if err := dec.Decode(&g); err != nil {
+			t.Fatal(err)
+		}
+		count++
+		ubd, res := ModelFitUBD(g.Slowdowns, g.KMin, g.DeltaNop, g.MaxUBD)
+		if ubd != g.UBD || (res < 0.2) != g.Fits {
+			t.Errorf("%s: fit = (%d, residual %g), want ubd %d with fits=%v", g.Name, ubd, res, g.UBD, g.Fits)
+		}
+	}
+	if count != 46 {
+		t.Errorf("golden holds %d fits, want 46", count)
+	}
+}
+
+// TestModelFitMatchesReference is the differential test on noisy
+// synthetic saw-tooths over kmin ∈ {0, 1, 2}, δnop 1–4 and ubd 2–120.
+// The sweep lengths span from too short to fit (n < 6) to three periods
+// and more.
+func TestModelFitMatchesReference(t *testing.T) {
+	count := 300
+	if testing.Short() {
+		count = 40
+	}
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < count; i++ {
+		kmin := rng.Intn(3)
+		dn := 1 + rng.Intn(4)
+		ubd := 2 + rng.Intn(119)
+		d0 := rng.Intn(ubd)
+		n := 4 + rng.Intn(3*ubd/dn+12)
+		noise := float64(rng.Intn(101))
+		d := sawtoothSeries(d0, dn, ubd, kmin, n, noise, int64(i))
+		if err := compareWithReference(d, kmin, float64(dn), defaultMaxUBD(n)); err != nil {
+			t.Errorf("kmin=%d δnop=%d ubd=%d δ0=%d n=%d noise=%g: %v", kmin, dn, ubd, d0, n, noise, err)
+		}
+	}
+}
+
+// TestModelFitNegativeKMin: γ of a negative injection time is undefined,
+// so a sweep that starts below k = 0 fits nothing.
+func TestModelFitNegativeKMin(t *testing.T) {
+	d := sawtoothSeries(1, 1, 27, 1, 81, 0, 1)
+	if got, res := ModelFitUBD(d, -1, 1, 80); got != 0 || !math.IsInf(res, 1) {
+		t.Errorf("kmin=-1: fit = (%d, %g), want (0, +Inf)", got, res)
+	}
+}
+
+// TestModelFitAllocs pins the fit's constant allocation count.
+func TestModelFitAllocs(t *testing.T) {
+	for _, dn := range []int{1, 2} {
+		d := sawtoothSeries(1, dn, 27, 1, 81, 0, 1)
+		allocs := testing.AllocsPerRun(20, func() { ModelFitUBD(d, 1, float64(dn), defaultMaxUBD(len(d))) })
+		if allocs > 4 {
+			t.Errorf("δnop=%d: %.0f allocations per fit of 81 samples, want at most 4", dn, allocs)
+		}
+	}
+}
+
+// FuzzModelFitUBD decodes its inputs into a noisy saw-tooth and checks
+// the fit's range invariants and its agreement with modelFitReference.
+func FuzzModelFitUBD(f *testing.F) {
+	f.Add(uint8(80), uint8(1), uint8(1), uint8(27), uint8(0), uint8(0), int64(1))
+	f.Fuzz(func(t *testing.T, nRaw, kminRaw, dnRaw, ubdRaw, d0Raw, noiseRaw uint8, seed int64) {
+		n := int(nRaw)
+		kmin := int(kminRaw) % 3
+		dn := 1 + int(dnRaw)%4
+		ubd := 2 + int(ubdRaw)%119
+		d0 := int(d0Raw) % ubd
+		noise := float64(noiseRaw % 101)
+		d := sawtoothSeries(d0, dn, ubd, kmin, n, noise, seed)
+		maxUBD := defaultMaxUBD(n)
+
+		got, res := ModelFitUBD(d, kmin, float64(dn), maxUBD)
+		if got != 0 && (got < 2 || got > min(maxUBD, n*dn/2)) {
+			t.Fatalf("ubd %d outside [2, min(%d, %d)]", got, maxUBD, n*dn/2)
+		}
+		if (got == 0) != math.IsInf(res, 1) || !(res >= 0) {
+			t.Fatalf("fit (%d, %g): want ubd 0 with +Inf, or a residual ≥ 0", got, res)
+		}
+		if err := compareWithReference(d, kmin, float64(dn), maxUBD); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

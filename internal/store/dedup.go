@@ -75,7 +75,15 @@ func (v *DedupStore) Get(jobHash string) (scenario.Result, bool, error) {
 			v.mu.Lock()
 			v.owned[jobHash] = struct{}{}
 			v.mu.Unlock()
-			return r, false, nil
+			// Between the miss above and the claim, another owner may
+			// have recorded the row and released its claim. Read again
+			// now that the claim holds off any later owner; a hit or an
+			// error gives the claim back.
+			r, ok, err := v.under.Get(jobHash)
+			if ok || err != nil {
+				v.release(jobHash)
+			}
+			return r, ok, err
 		}
 		if f.owner == v {
 			// Our own claim — a plan listing the same job twice. Both

@@ -183,6 +183,64 @@ func TestDedupAbandonedClaimWakesWaiter(t *testing.T) {
 	}
 }
 
+// missHookStore runs hook once, on its first miss, before the miss
+// returns.
+type missHookStore struct {
+	store.Store
+	hook func()
+	once sync.Once
+}
+
+func (m *missHookStore) Get(h string) (scenario.Result, bool, error) {
+	r, ok, err := m.Store.Get(h)
+	if !ok && err == nil {
+		m.once.Do(m.hook)
+	}
+	return r, ok, err
+}
+
+// TestDedupClaimAfterOwnerPutReportsHit pins the check-then-claim race:
+// a view misses, and before it can claim the hash the owner records the
+// row and releases its claim. The view must then report a hit, not claim
+// the hash and simulate the job a second time.
+func TestDedupClaimAfterOwnerPutReportsHit(t *testing.T) {
+	under := store.NewMem()
+	d := store.NewDedup()
+	owner := d.Wrap(under)
+	if _, ok, err := owner.Get("h1"); ok || err != nil {
+		t.Fatalf("owner Get = (%v, %v), want a claimed miss", ok, err)
+	}
+	hooked := &missHookStore{Store: under, hook: func() {
+		if err := owner.Put("h1", scenario.Result{Cycles: 1}); err != nil {
+			t.Error(err)
+		}
+	}}
+	waiter := d.Wrap(hooked)
+	r, ok, err := waiter.Get("h1")
+	if err != nil || !ok || r.Cycles != 1 {
+		t.Fatalf("waiter Get = (%+v, %v, %v), want a hit on the owner's row", r, ok, err)
+	}
+	// The hit gave the waiter's claim back. Were it still held, a later
+	// miss on the hash (here after the row is quarantined) would block on
+	// a claim nobody resolves.
+	if err := under.Quarantine("h1", "test"); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan bool, 1)
+	go func() {
+		_, ok, _ := d.Wrap(under).Get("h1")
+		got <- ok
+	}()
+	select {
+	case ok := <-got:
+		if ok {
+			t.Error("Get after quarantine reports a hit")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a later miss is blocked on the waiter's claim")
+	}
+}
+
 // blockPutStore stalls every Put until the gate closes and signals (once)
 // when the first Put is entered — it holds a session "mid-simulation",
 // after the work but before the row lands.
