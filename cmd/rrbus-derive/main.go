@@ -28,16 +28,17 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"rrbus"
+	"rrbus/internal/cli"
 )
+
+const prog cli.Program = "rrbus-derive"
 
 type jsonReport struct {
 	Arch       string                     `json:"arch"`
@@ -85,7 +86,7 @@ func main() {
 	}
 
 	if *scenarioFile != "" || *merge {
-		rejectWithScenario("rrbus-derive", "arch", "type", "cores", "transfer", "l2hit", "kmin", "kmax")
+		prog.RejectWithScenario("arch", "type", "cores", "transfer", "l2hit", "kmin", "kmax")
 		runScenario(*scenarioFile, *shardSpec, *out, *from, *storeDir, *merge, *jsonOut, *series, backend, flag.Args())
 		return
 	}
@@ -126,7 +127,7 @@ func main() {
 	}
 
 	r, err := rrbus.NewRunner(cfg)
-	fail(err)
+	prog.Fail(err)
 
 	rep := jsonReport{Arch: cfg.Name, Type: *typ, ActualUBD: cfg.UBD()}
 	res, derr := rrbus.Derive(r, rrbus.DeriveOptions{Type: t, KMin: *kmin, KMax: *kmax, AutoExtend: true})
@@ -135,7 +136,7 @@ func main() {
 	}
 	fillReport(&rep, res, *series)
 	nv, err := rrbus.NaiveUBDMFor(r, t)
-	fail(err)
+	prog.Fail(err)
 	rep.NaiveUBDm = nv.UBDm
 
 	if *jsonOut {
@@ -166,39 +167,34 @@ func main() {
 // on the classic path.
 func runScenario(path, shardSpec, out, from, storeDir string, merge, jsonOut, series bool, backend rrbus.Backend, args []string) {
 	if path == "" {
-		fail(fmt.Errorf("-merge needs -scenario (the plan defines the k range and platform)"))
+		prog.Fail(fmt.Errorf("-merge needs -scenario (the plan defines the k range and platform)"))
 	}
 	plan, err := rrbus.LoadPlan(path)
-	fail(err)
+	prog.Fail(err)
 	if plan.Generator() != "derive" {
-		fail(fmt.Errorf("scenario %s uses generator %q; rrbus-derive needs \"derive\"", path, plan.Generator()))
+		prog.Fail(fmt.Errorf("scenario %s uses generator %q; rrbus-derive needs \"derive\"", path, plan.Generator()))
 	}
-	var st rrbus.Store
-	if storeDir != "" {
-		ds, err := rrbus.OpenDirStore(storeDir)
-		fail(err)
-		st = ds
-	}
+	st := prog.OpenStore(storeDir)
 
 	var results []rrbus.Result
 	switch {
 	case from != "":
 		if merge || out != "" || shardSpec != "" || st != nil {
-			fail(fmt.Errorf("-from replays an existing recording; it cannot be combined with -merge/-out/-shard/-store"))
+			prog.Fail(fmt.Errorf("-from replays an existing recording; it cannot be combined with -merge/-out/-shard/-store"))
 		}
 		results, err = rrbus.ReadResultsFile(from)
-		fail(err)
-		fail(rrbus.CheckResults(plan, results))
+		prog.Fail(err)
+		prog.Fail(rrbus.CheckResults(plan, results))
 	case merge:
 		if len(args) == 0 {
-			fail(fmt.Errorf("-merge needs shard JSONL files as arguments"))
+			prog.Fail(fmt.Errorf("-merge needs shard JSONL files as arguments"))
 		}
 		if shardSpec != "" {
-			fail(fmt.Errorf("-shard applies to measuring, not merging"))
+			prog.Fail(fmt.Errorf("-shard applies to measuring, not merging"))
 		}
 		results = mergeResults(plan, args, out)
 		if st != nil {
-			fail(rrbus.ImportResults(st, plan, results))
+			prog.Fail(rrbus.ImportResults(st, plan, results))
 			fmt.Fprintf(os.Stderr, "rrbus-derive: store: imported %d rows\n", len(results))
 		}
 		if out == "-" {
@@ -209,60 +205,29 @@ func runScenario(path, shardSpec, out, from, storeDir string, merge, jsonOut, se
 		}
 	case out != "":
 		shard, err := rrbus.ParseShard(shardSpec)
-		fail(err)
+		prog.Fail(err)
 		ctx, stop := rrbus.SignalContext()
 		defer stop()
 		sess := &rrbus.Session{Store: st, Shard: shard, Retry: rrbus.DefaultRetry}
 		err = sess.RunToFileContext(ctx, plan, out)
-		reportStore(sess, st)
-		exitIfInterrupted(err, st)
-		fail(err)
+		prog.ReportStore(sess, st)
+		prog.ExitIfInterrupted(err, st)
+		prog.Fail(err)
 		return
 	default:
 		if shardSpec != "" {
-			fail(fmt.Errorf("-shard needs -out (a shard alone cannot detect the period)"))
+			prog.Fail(fmt.Errorf("-shard needs -out (a shard alone cannot detect the period)"))
 		}
 		ctx, stop := rrbus.SignalContext()
 		defer stop()
 		sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry}
 		results, err = sess.RunAllContext(ctx, plan)
-		reportStore(sess, st)
-		exitIfInterrupted(err, st)
-		fail(err)
+		prog.ReportStore(sess, st)
+		prog.ExitIfInterrupted(err, st)
+		prog.Fail(err)
 	}
 
 	deriveFromResults(plan, results, jsonOut, series, backend)
-}
-
-// reportStore prints the session's reuse accounting to stderr, plus the
-// resilience accounting (healed corruption, retried transients) when the
-// run needed any.
-func reportStore(sess *rrbus.Session, st rrbus.Store) {
-	if st == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "rrbus-derive: store: %d hits, %d simulated\n", sess.StoreHits(), sess.Simulated())
-	if q := sess.Quarantined(); q > 0 {
-		fmt.Fprintf(os.Stderr, "rrbus-derive: store: quarantined %d corrupt entries, repaired %d\n", q, sess.Repaired())
-	}
-	if r := sess.Retried(); r > 0 {
-		fmt.Fprintf(os.Stderr, "rrbus-derive: store: retried %d transient errors\n", r)
-	}
-}
-
-// exitIfInterrupted turns a drained cancellation into the partial-
-// progress exit (130): completed rows were flushed, so re-running the
-// same command resumes warm.
-func exitIfInterrupted(err error, st rrbus.Store) {
-	if !errors.Is(err, context.Canceled) {
-		return
-	}
-	if st != nil {
-		fmt.Fprintln(os.Stderr, "rrbus-derive: interrupted; completed rows are flushed — re-run the same command to resume warm")
-	} else {
-		fmt.Fprintln(os.Stderr, "rrbus-derive: interrupted (add -store to make interrupted sweeps resumable)")
-	}
-	os.Exit(130)
 }
 
 // mergeResults recombines shard JSONL files (optionally saving the
@@ -274,7 +239,7 @@ func mergeResults(plan *rrbus.Plan, files []string, out string) []rrbus.Result {
 	if out != "" && out != "-" {
 		for _, f := range files {
 			if rrbus.SameFilePath(out, f) {
-				fail(fmt.Errorf("-out %s is also a merge input; os.Create would truncate it before reading", out))
+				prog.Fail(fmt.Errorf("-out %s is also a merge input; os.Create would truncate it before reading", out))
 			}
 		}
 	}
@@ -283,15 +248,15 @@ func mergeResults(plan *rrbus.Plan, files []string, out string) []rrbus.Result {
 		if out != "-" {
 			var err error
 			f, err = os.Create(out)
-			fail(err)
+			prog.Fail(err)
 			defer f.Close()
 		}
 		w = f
 	}
 	results, err := rrbus.MergeResults(w, files)
-	fail(err)
+	prog.Fail(err)
 	if len(results) != len(plan.Jobs) {
-		fail(fmt.Errorf("merged %d results for %d jobs — truncated or missing shard files?", len(results), len(plan.Jobs)))
+		prog.Fail(fmt.Errorf("merged %d results for %d jobs — truncated or missing shard files?", len(results), len(plan.Jobs)))
 	}
 	return results
 }
@@ -304,7 +269,7 @@ func mergeResults(plan *rrbus.Plan, files []string, out string) []rrbus.Result {
 // measurements the sweep does not take.
 func deriveFromResults(plan *rrbus.Plan, results []rrbus.Result, jsonOut, series bool, backend rrbus.Backend) {
 	d, err := rrbus.DeriveFromResults(plan, results)
-	fail(err)
+	prog.Fail(err)
 
 	if jsonOut {
 		typ := "load"
@@ -321,8 +286,8 @@ func deriveFromResults(plan *rrbus.Plan, results []rrbus.Result, jsonOut, series
 	}
 
 	doc, err := rrbus.DocumentFor(plan, results)
-	fail(err)
-	fail(rrbus.RenderTo(os.Stdout, doc, backend))
+	prog.Fail(err)
+	prog.Fail(rrbus.RenderTo(os.Stdout, doc, backend))
 	if d.Err != nil {
 		os.Exit(1)
 	}
@@ -347,30 +312,8 @@ func fillReport(rep *jsonReport, res *rrbus.DeriveResult, series bool) {
 func emitJSON(rep jsonReport) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	fail(enc.Encode(rep))
+	prog.Fail(enc.Encode(rep))
 	if rep.Err != "" {
 		os.Exit(1)
-	}
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rrbus-derive:", err)
-		os.Exit(1)
-	}
-}
-
-// rejectWithScenario refuses classic flags alongside -scenario/-merge:
-// the scenario file defines the platform and k range, and silently
-// ignoring an explicitly passed flag would derive from different
-// measurements than the user asked for.
-func rejectWithScenario(prog string, names ...string) {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, n := range names {
-		if set[n] {
-			fmt.Fprintf(os.Stderr, "%s: -%s conflicts with -scenario (the scenario file defines it)\n", prog, n)
-			os.Exit(2)
-		}
 	}
 }

@@ -45,14 +45,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"rrbus"
+	"rrbus/internal/cli"
 )
+
+const prog cli.Program = "rrbus-figures"
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate (2,3,4,5,6a,6b,7a,7b,table,abl-arb,abl-dnop,abl-scaling,all)")
@@ -72,31 +74,31 @@ func main() {
 	flag.Parse()
 	rrbus.SetWorkers(*workers)
 	backend, err := rrbus.BackendByName(*format)
-	fail(err)
+	prog.Fail(err)
 
 	if *docFile != "" {
 		// Reject conflicting modes before touching the filesystem:
-		// openStore would create the -store directory tree even though
+		// OpenStore would create the -store directory tree even though
 		// the invocation is about to be refused.
 		if *scenarioFile != "" || *merge || *from != "" || *storeDir != "" || *out != "" || *shardSpec != "" {
-			fail(fmt.Errorf("-doc re-renders a saved document; it cannot be combined with -scenario/-merge/-from/-store/-out/-shard"))
+			prog.Fail(fmt.Errorf("-doc re-renders a saved document; it cannot be combined with -scenario/-merge/-from/-store/-out/-shard"))
 		}
-		rejectWithScenario("rrbus-figures", "fig", "kmax", "iters", "count", "seed")
+		prog.RejectWithScenario("fig", "kmax", "iters", "count", "seed")
 		f, err := os.Open(*docFile)
-		fail(err)
+		prog.Fail(err)
 		doc, err := rrbus.DecodeDocument(f)
 		f.Close()
-		fail(err)
-		fail(rrbus.RenderTo(os.Stdout, doc, backend))
+		prog.Fail(err)
+		prog.Fail(rrbus.RenderTo(os.Stdout, doc, backend))
 		return
 	}
-	st := openStore(*storeDir)
+	st := prog.OpenStore(*storeDir)
 	if *merge || *scenarioFile != "" {
-		rejectWithScenario("rrbus-figures", "fig", "kmax", "iters", "count", "seed")
+		prog.RejectWithScenario("fig", "kmax", "iters", "count", "seed")
 	}
 	if *merge {
 		if *from != "" {
-			fail(fmt.Errorf("-from replays one complete file; -merge recombines shards — use one or the other"))
+			prog.Fail(fmt.Errorf("-from replays one complete file; -merge recombines shards — use one or the other"))
 		}
 		mergeShards(*out, *scenarioFile, st, backend, flag.Args())
 		return
@@ -119,7 +121,7 @@ func main() {
 	// and -scenario render through the same report code), except the
 	// summary table, whose derivation sweep auto-extends in-process.
 	ref, err := rrbus.PlatformByName("ref")
-	fail(err)
+	prog.Fail(err)
 	type figSpec struct {
 		name      string
 		generator string
@@ -153,27 +155,27 @@ func main() {
 		did = true
 		if s.generator == "" {
 			if *from != "" {
-				fail(fmt.Errorf("-fig table derives in-process and cannot replay from JSONL"))
+				prog.Fail(fmt.Errorf("-fig table derives in-process and cannot replay from JSONL"))
 			}
 			vr, err := rrbus.PlatformByName("var")
-			fail(err)
+			prog.Fail(err)
 			rows, err := rrbus.Summary(ref, vr)
-			fail(err)
+			prog.Fail(err)
 			appendDoc(combined, *fig, rrbus.SummaryDocument(rows))
 			continue
 		}
 		if *from != "" && *fig == "all" {
-			fail(fmt.Errorf("-from needs a single -fig (one recording holds one job list)"))
+			prog.Fail(fmt.Errorf("-from needs a single -fig (one recording holds one job list)"))
 		}
 		if *from != "" && st != nil {
-			fail(fmt.Errorf("-from renders an existing recording; it cannot be combined with -store"))
+			prog.Fail(fmt.Errorf("-from renders an existing recording; it cannot be combined with -store"))
 		}
 		plan, err := rrbus.GeneratorPlan(s.generator, s.params)
-		fail(err)
+		prog.Fail(err)
 		results, err := obtainResults(ctx, plan, st, *from)
-		fail(err)
+		prog.Fail(err)
 		doc, err := rrbus.DocumentFor(plan, results)
-		fail(err)
+		prog.Fail(err)
 		appendDoc(combined, *fig, doc)
 	}
 	if !did {
@@ -181,7 +183,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	fail(rrbus.RenderTo(os.Stdout, combined, backend))
+	prog.Fail(rrbus.RenderTo(os.Stdout, combined, backend))
 }
 
 // appendDoc folds one figure's document into the combined output. A
@@ -195,48 +197,6 @@ func appendDoc(combined *rrbus.Document, fig string, doc *rrbus.Document) {
 	combined.Add(doc.Blocks...)
 }
 
-// openStore opens the results store named by -store ("" = none).
-func openStore(dir string) rrbus.Store {
-	if dir == "" {
-		return nil
-	}
-	st, err := rrbus.OpenDirStore(dir)
-	fail(err)
-	return st
-}
-
-// reportStore prints the session's reuse accounting to stderr — the line
-// the CI cache-reuse smoke greps to prove a warm run simulated nothing —
-// plus, when the run had to heal or retry, the resilience accounting the
-// chaos smoke greps.
-func reportStore(sess *rrbus.Session, st rrbus.Store) {
-	if st == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "rrbus-figures: store: %d hits, %d simulated\n", sess.StoreHits(), sess.Simulated())
-	if q := sess.Quarantined(); q > 0 {
-		fmt.Fprintf(os.Stderr, "rrbus-figures: store: quarantined %d corrupt entries, repaired %d\n", q, sess.Repaired())
-	}
-	if r := sess.Retried(); r > 0 {
-		fmt.Fprintf(os.Stderr, "rrbus-figures: store: retried %d transient errors\n", r)
-	}
-}
-
-// exitIfInterrupted turns a drained cancellation into the partial-
-// progress exit: completed rows were flushed (store and -out file), so a
-// re-run of the same command resumes warm. Conventional 130 = SIGINT.
-func exitIfInterrupted(err error, st rrbus.Store) {
-	if !errors.Is(err, context.Canceled) {
-		return
-	}
-	if st != nil {
-		fmt.Fprintln(os.Stderr, "rrbus-figures: interrupted; completed rows are flushed — re-run the same command to resume warm")
-	} else {
-		fmt.Fprintln(os.Stderr, "rrbus-figures: interrupted (add -store to make interrupted sweeps resumable)")
-	}
-	os.Exit(130)
-}
-
 // obtainResults produces one result per job of the plan: replayed from a
 // recorded JSONL file when path is set, run through a (store-aware)
 // session otherwise. Either way the renderers downstream see the same
@@ -247,8 +207,8 @@ func obtainResults(ctx context.Context, plan *rrbus.Plan, st rrbus.Store, path s
 	}
 	sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry}
 	results, err := sess.RunAllContext(ctx, plan)
-	reportStore(sess, st)
-	exitIfInterrupted(err, st)
+	prog.ReportStore(sess, st)
+	prog.ExitIfInterrupted(err, st)
 	return results, err
 }
 
@@ -257,37 +217,37 @@ func obtainResults(ctx context.Context, plan *rrbus.Plan, st rrbus.Store, path s
 // results — run through the session, or replayed from -from.
 func runScenario(ctx context.Context, path, shardSpec, out, from string, st rrbus.Store, backend rrbus.Backend) {
 	plan, err := rrbus.LoadPlan(path)
-	fail(err)
+	prog.Fail(err)
 	shard, err := rrbus.ParseShard(shardSpec)
-	fail(err)
+	prog.Fail(err)
 
 	if from != "" {
 		if out != "" || !shard.All() || st != nil {
-			fail(fmt.Errorf("-from renders an existing recording; it cannot be combined with -out/-shard/-store"))
+			prog.Fail(fmt.Errorf("-from renders an existing recording; it cannot be combined with -out/-shard/-store"))
 		}
 		results, err := rrbus.ReadResultsFile(from)
-		fail(err)
+		prog.Fail(err)
 		renderPlan(plan, path, results, backend)
 		return
 	}
 	if out == "" {
 		if !shard.All() {
-			fail(fmt.Errorf("-shard %s without -out would drop the shard rows; add -out", shard))
+			prog.Fail(fmt.Errorf("-shard %s without -out would drop the shard rows; add -out", shard))
 		}
 		sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry}
 		results, err := sess.RunAllContext(ctx, plan)
-		reportStore(sess, st)
-		exitIfInterrupted(err, st)
-		fail(err)
+		prog.ReportStore(sess, st)
+		prog.ExitIfInterrupted(err, st)
+		prog.Fail(err)
 		renderPlan(plan, path, results, backend)
 		return
 	}
 
 	sess := &rrbus.Session{Store: st, Shard: shard, Retry: rrbus.DefaultRetry}
 	err = sess.RunToFileContext(ctx, plan, out)
-	reportStore(sess, st)
-	exitIfInterrupted(err, st)
-	fail(err)
+	prog.ReportStore(sess, st)
+	prog.ExitIfInterrupted(err, st)
+	prog.Fail(err)
 }
 
 // renderPlan renders a plan's recorded results: the generator's figure
@@ -297,7 +257,7 @@ func runScenario(ctx context.Context, path, shardSpec, out, from string, st rrbu
 // output byte-identical.
 func renderPlan(plan *rrbus.Plan, path string, results []rrbus.Result, backend rrbus.Backend) {
 	doc, err := rrbus.DocumentFor(plan, results)
-	fail(err)
+	prog.Fail(err)
 	if !rrbus.HasRenderer(plan.Generator()) {
 		if gen := plan.Generator(); gen != "" {
 			// A figure-shaped plan quietly degrading to the generic table
@@ -311,7 +271,7 @@ func renderPlan(plan *rrbus.Plan, path string, results []rrbus.Result, backend r
 		}
 		doc.Prepend(rrbus.HeadingBlock{Level: 1, Text: fmt.Sprintf("scenario %s: %d jobs", name, len(plan.Jobs))})
 	}
-	fail(rrbus.RenderTo(os.Stdout, doc, backend))
+	prog.Fail(rrbus.RenderTo(os.Stdout, doc, backend))
 }
 
 // mergeShards recombines shard JSONL files into the unsharded byte
@@ -324,14 +284,14 @@ func renderPlan(plan *rrbus.Plan, path string, results []rrbus.Result, backend r
 // a sweep measured elsewhere becomes servable here.
 func mergeShards(out, scenarioFile string, st rrbus.Store, backend rrbus.Backend, files []string) {
 	if len(files) == 0 {
-		fail(fmt.Errorf("-merge needs shard JSONL files as arguments"))
+		prog.Fail(fmt.Errorf("-merge needs shard JSONL files as arguments"))
 	}
 	if st != nil && scenarioFile == "" {
-		fail(fmt.Errorf("-merge -store needs -scenario (job hashes come from the plan)"))
+		prog.Fail(fmt.Errorf("-merge -store needs -scenario (job hashes come from the plan)"))
 	}
 	for _, f := range files {
 		if out != "" && out != "-" && rrbus.SameFilePath(out, f) {
-			fail(fmt.Errorf("-out %s is also a merge input; os.Create would truncate it before reading", out))
+			prog.Fail(fmt.Errorf("-out %s is also a merge input; os.Create would truncate it before reading", out))
 		}
 	}
 
@@ -339,22 +299,22 @@ func mergeShards(out, scenarioFile string, st rrbus.Store, backend rrbus.Backend
 	toStdout := out == "" || out == "-"
 	if !toStdout {
 		f, err := os.Create(out)
-		fail(err)
+		prog.Fail(err)
 		defer f.Close()
 		w = f
 	}
 	results, err := rrbus.MergeResults(w, files)
-	fail(err)
+	prog.Fail(err)
 
 	var plan *rrbus.Plan
 	if scenarioFile != "" {
 		plan, err = rrbus.LoadPlan(scenarioFile)
-		fail(err)
+		prog.Fail(err)
 		if len(results) != len(plan.Jobs) {
-			fail(fmt.Errorf("merged %d rows for %d jobs — truncated or missing shard files?", len(results), len(plan.Jobs)))
+			prog.Fail(fmt.Errorf("merged %d rows for %d jobs — truncated or missing shard files?", len(results), len(plan.Jobs)))
 		}
 		if st != nil {
-			fail(rrbus.ImportResults(st, plan, results))
+			prog.Fail(rrbus.ImportResults(st, plan, results))
 			fmt.Fprintf(os.Stderr, "rrbus-figures: store: imported %d rows\n", len(results))
 		}
 	}
@@ -367,27 +327,5 @@ func mergeShards(out, scenarioFile string, st rrbus.Store, backend rrbus.Backend
 	}
 	doc := rrbus.ResultsTableDocument(results)
 	doc.Prepend(rrbus.HeadingBlock{Level: 1, Text: fmt.Sprintf("merged %d shards: %d jobs", len(files), len(results))})
-	fail(rrbus.RenderTo(os.Stdout, doc, backend))
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rrbus-figures:", err)
-		os.Exit(1)
-	}
-}
-
-// rejectWithScenario refuses classic figure flags alongside
-// -scenario/-merge/-doc: the scenario file (or saved document) defines
-// the content, and silently ignoring an explicitly passed flag would
-// render something other than what the user asked for.
-func rejectWithScenario(prog string, names ...string) {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, n := range names {
-		if set[n] {
-			fmt.Fprintf(os.Stderr, "%s: -%s conflicts with -scenario (the scenario file defines it)\n", prog, n)
-			os.Exit(2)
-		}
-	}
+	prog.Fail(rrbus.RenderTo(os.Stdout, doc, backend))
 }

@@ -54,7 +54,10 @@ import (
 	"os"
 
 	"rrbus"
+	"rrbus/internal/cli"
 )
+
+const prog cli.Program = "rrbus-serve"
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8077", "listen address")
@@ -70,9 +73,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	st, err := rrbus.OpenDirStore(*storeDir)
-	fail(err)
-	server := rrbus.NewServer(st, rrbus.ServeOptions{
+	server := rrbus.NewServer(prog.OpenStore(*storeDir), rrbus.ServeOptions{
 		Workers:        *workers,
 		MaxActivePlans: *plans,
 		Retry:          rrbus.DefaultRetry,
@@ -98,7 +99,7 @@ func main() {
 
 	select {
 	case err := <-errc:
-		fail(err)
+		prog.Fail(err)
 	case <-ctx.Done():
 	}
 	httpSrv.Shutdown(context.Background())
@@ -110,13 +111,6 @@ func main() {
 			sum.Leased, sum.Ingested, sum.Requeued)
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fail(err)
-	}
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rrbus-serve:", err)
-		os.Exit(1)
+		prog.Fail(err)
 	}
 }

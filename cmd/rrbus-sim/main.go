@@ -24,15 +24,16 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"rrbus"
+	"rrbus/internal/cli"
 )
+
+const prog cli.Program = "rrbus-sim"
 
 func main() {
 	arch := flag.String("arch", "ref", "platform: ref, var or toy")
@@ -51,39 +52,38 @@ func main() {
 	noSS := flag.Bool("no-steady-state", false, "execute every event instead of extrapolating detected steady-state periods (results are identical; CI diffs the modes)")
 	flag.Parse()
 	rrbus.SetWorkers(*workers)
-	rrbus.SetFastForward(!*noFF)
-	rrbus.SetSteadyState(!*noSS)
-	backend, err := rrbus.BackendByName(*format)
-	fail(err)
-
-	var st rrbus.Store
-	if *storeDir != "" {
-		ds, err := rrbus.OpenDirStore(*storeDir)
-		fail(err)
-		st = ds
+	engine := rrbus.EngineSteady
+	switch {
+	case *noFF:
+		engine = rrbus.EngineOracle
+	case *noSS:
+		engine = rrbus.EngineEvent
 	}
+	backend, err := rrbus.BackendByName(*format)
+	prog.Fail(err)
+	st := prog.OpenStore(*storeDir)
 
 	if *scenarioFile != "" {
-		rejectWithScenario("rrbus-sim", "arch", "scua", "contenders", "warmup", "iters", "seed", "gammas")
+		prog.RejectWithScenario("arch", "scua", "contenders", "warmup", "iters", "seed", "gammas")
 		plan, err := rrbus.LoadPlan(*scenarioFile)
-		fail(err)
+		prog.Fail(err)
 		// First SIGINT/SIGTERM drains the batch gracefully (completed
 		// rows flush to the store and -out), a second one kills it.
 		ctx, stop := rrbus.SignalContext()
 		defer stop()
-		sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry}
+		sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry, Engine: engine}
 		if *out != "" {
 			err = sess.RunToFileContext(ctx, plan, *out)
-			reportStore(sess, st)
-			exitIfInterrupted(err, st)
-			fail(err)
+			prog.ReportStore(sess, st)
+			prog.ExitIfInterrupted(err, st)
+			prog.Fail(err)
 			return
 		}
 		results, err := sess.RunAllContext(ctx, plan)
-		reportStore(sess, st)
-		exitIfInterrupted(err, st)
-		fail(err)
-		fail(rrbus.RenderTo(os.Stdout, rrbus.ResultsTableDocument(results), backend))
+		prog.ReportStore(sess, st)
+		prog.ExitIfInterrupted(err, st)
+		prog.Fail(err)
+		prog.Fail(rrbus.RenderTo(os.Stdout, rrbus.ResultsTableDocument(results), backend))
 		return
 	}
 	if *format != "text" {
@@ -109,46 +109,55 @@ func main() {
 		Protocol: rrbus.Protocol{Warmup: *warmup, Iters: *iters, Gammas: *gammas},
 	}
 	plan, err := rrbus.CompilePlan(&rrbus.PlanSpec{Scenario: &sc})
-	fail(err)
+	prog.Fail(err)
 	job := plan.Jobs[0]
 	// Construction-only platform build for the report header; programs
 	// are built once, inside RunFull, and only when the run simulates.
 	cfg, err := sc.Platform.Build()
-	fail(err)
+	prog.Fail(err)
 
 	var res rrbus.Result
 	var m *rrbus.Measurement
 	scuaName := *scuaSpec
-	served := false
+	served, healed := false, false
 	if st != nil {
 		// A Session would serve the same hash, but it returns only the
 		// Result row; the single-run report wants the full Measurement
 		// on a miss, so the read side is inlined while the record side
 		// goes through the same ImportResults the batch merge uses —
 		// row plus plan manifest, on hits too, so every single run is
-		// auditable in the store's plan index.
-		if got, ok, err := st.Get(plan.JobHashes()[0]); err != nil {
-			fail(err)
-		} else if ok {
+		// auditable in the store's plan index. A corrupt entry heals as
+		// in a Session: it is quarantined and the run simulates afresh.
+		hash := plan.JobHashes()[0]
+		got, ok, err := st.Get(hash)
+		if q, canHeal := st.(rrbus.Quarantiner); canHeal && rrbus.IsCorruptStoreError(err) {
+			prog.Fail(q.Quarantine(hash, err.Error()))
+			healed, err = true, nil
+		}
+		prog.Fail(err)
+		if ok {
 			got.ID = job.ID
 			res, served = got, true
 		}
 	}
 	if !served {
 		var w rrbus.Workload
-		res, m, w, err = job.RunFull()
-		fail(err)
+		res, m, w, err = job.RunFull(engine)
+		prog.Fail(err)
 		scuaName = w.Scua.Name
 	}
 	if st != nil {
-		fail(rrbus.ImportResults(st, plan, []rrbus.Result{res}))
+		prog.Fail(rrbus.ImportResults(st, plan, []rrbus.Result{res}))
+	}
+	if healed {
+		prog.ReportHealed(1, 1)
 	}
 
 	if *out == "-" {
 		// Row-to-stdout mode: emit only the parseable JSONL stream (the
 		// human report would corrupt it); batch consumers read it like
 		// any sweep recording.
-		fail(rrbus.WriteResults(os.Stdout, []rrbus.Result{res}))
+		prog.Fail(rrbus.WriteResults(os.Stdout, []rrbus.Result{res}))
 		return
 	}
 
@@ -189,60 +198,7 @@ func main() {
 	}
 
 	if *out != "" {
-		fail(rrbus.WriteResultsFile(*out, []rrbus.Result{res}))
+		prog.Fail(rrbus.WriteResultsFile(*out, []rrbus.Result{res}))
 		fmt.Fprintf(os.Stderr, "rrbus-sim: recorded result row to %s\n", *out)
-	}
-}
-
-// reportStore prints the session's reuse accounting to stderr, plus the
-// resilience accounting (healed corruption, retried transients) when the
-// run needed any.
-func reportStore(sess *rrbus.Session, st rrbus.Store) {
-	if st == nil {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "rrbus-sim: store: %d hits, %d simulated\n", sess.StoreHits(), sess.Simulated())
-	if q := sess.Quarantined(); q > 0 {
-		fmt.Fprintf(os.Stderr, "rrbus-sim: store: quarantined %d corrupt entries, repaired %d\n", q, sess.Repaired())
-	}
-	if r := sess.Retried(); r > 0 {
-		fmt.Fprintf(os.Stderr, "rrbus-sim: store: retried %d transient errors\n", r)
-	}
-}
-
-// exitIfInterrupted turns a drained cancellation into the partial-
-// progress exit (130): completed rows were flushed, so re-running the
-// same command resumes warm.
-func exitIfInterrupted(err error, st rrbus.Store) {
-	if !errors.Is(err, context.Canceled) {
-		return
-	}
-	if st != nil {
-		fmt.Fprintln(os.Stderr, "rrbus-sim: interrupted; completed rows are flushed — re-run the same command to resume warm")
-	} else {
-		fmt.Fprintln(os.Stderr, "rrbus-sim: interrupted (add -store to make interrupted batches resumable)")
-	}
-	os.Exit(130)
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rrbus-sim:", err)
-		os.Exit(1)
-	}
-}
-
-// rejectWithScenario refuses classic single-run flags alongside
-// -scenario: the scenario file defines the platform, workload and
-// protocol, and silently ignoring an explicitly passed flag would let
-// the user measure something other than what they asked for.
-func rejectWithScenario(prog string, names ...string) {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, n := range names {
-		if set[n] {
-			fmt.Fprintf(os.Stderr, "%s: -%s conflicts with -scenario (the scenario file defines it)\n", prog, n)
-			os.Exit(2)
-		}
 	}
 }

@@ -57,7 +57,10 @@ import (
 	"os"
 
 	"rrbus"
+	"rrbus/internal/cli"
 )
+
+const prog cli.Program = "rrbus-store"
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: rrbus-store <ls|verify|repair|gc|compact> [-format text|html|json] [-workers n] [-rm] [-dry-run] <store-dir>")
@@ -92,17 +95,17 @@ func main() {
 		usage()
 	}
 	backend, err := rrbus.BackendByName(*format)
-	fail(err)
+	prog.Fail(err)
 	dir := fs.Arg(0)
 	if _, err := os.Stat(dir); err != nil && cmd != "pull" {
 		// OpenDirStore would create an empty store; auditing a
 		// non-existent directory is a mistake, not an empty result.
 		// (pull is the exception: pulling into a fresh directory is how a
 		// worker cache is seeded.)
-		fail(fmt.Errorf("store %s: %w", dir, err))
+		prog.Fail(fmt.Errorf("store %s: %w", dir, err))
 	}
 	st, err := rrbus.OpenDirStore(dir)
-	fail(err)
+	prog.Fail(err)
 
 	switch cmd {
 	case "ls":
@@ -128,17 +131,17 @@ func main() {
 // agree byte for byte in every format.
 func ls(st *rrbus.DirStore, dir string, backend rrbus.Backend) {
 	infos, err := st.PlanInfos()
-	fail(err)
+	prog.Fail(err)
 	rows, err := st.Len()
-	fail(err)
-	fail(rrbus.RenderTo(os.Stdout, rrbus.StorePlansDocument(dir, infos, rows), backend))
+	prog.Fail(err)
+	prog.Fail(rrbus.RenderTo(os.Stdout, rrbus.StorePlansDocument(dir, infos, rows), backend))
 }
 
 // verify re-checks every entry and manifest, prints the audit and exits
 // nonzero on any corruption.
 func verify(st *rrbus.DirStore, dir string, backend rrbus.Backend) {
 	rep, err := st.Verify()
-	fail(err)
+	prog.Fail(err)
 
 	doc := &rrbus.Document{Title: "verify " + dir}
 	doc.Add(rrbus.HeadingBlock{Level: 1,
@@ -157,7 +160,7 @@ func verify(st *rrbus.DirStore, dir string, backend rrbus.Backend) {
 		}
 		doc.Add(t)
 	}
-	fail(rrbus.RenderTo(os.Stdout, doc, backend))
+	prog.Fail(rrbus.RenderTo(os.Stdout, doc, backend))
 	if !rep.OK() {
 		os.Exit(1)
 	}
@@ -176,7 +179,7 @@ func repair(st *rrbus.DirStore, dir string, workers int, backend rrbus.Backend) 
 		fmt.Fprintf(os.Stderr, "rrbus-store: interrupted; %d rows re-simulated so far stay recorded — re-run repair to finish\n", rep.Resimulated)
 		os.Exit(130)
 	}
-	fail(err)
+	prog.Fail(err)
 
 	doc := &rrbus.Document{Title: "repair " + dir}
 	doc.Add(rrbus.HeadingBlock{Level: 1,
@@ -207,7 +210,7 @@ func repair(st *rrbus.DirStore, dir string, workers int, backend rrbus.Backend) 
 		}
 		doc.Add(t)
 	}
-	fail(rrbus.RenderTo(os.Stdout, doc, backend))
+	prog.Fail(rrbus.RenderTo(os.Stdout, doc, backend))
 	if !rep.OK() {
 		os.Exit(1)
 	}
@@ -220,19 +223,19 @@ func repair(st *rrbus.DirStore, dir string, workers int, backend rrbus.Backend) 
 // wins over -rm.
 func gc(st *rrbus.DirStore, dir string, rm, dryRun bool, backend rrbus.Backend) {
 	infos, err := st.Quarantined()
-	fail(err)
+	prog.Fail(err)
 	orphans, err := st.Unreferenced()
-	fail(err)
+	prog.Fail(err)
 	removed, dropped := 0, 0
 	if rm && !dryRun {
 		for _, q := range infos {
 			if q.Healed {
-				fail(st.RemoveQuarantined(q.Hash))
+				prog.Fail(st.RemoveQuarantined(q.Hash))
 				removed++
 			}
 		}
 		for _, h := range orphans {
-			fail(st.RemoveJob(h))
+			prog.Fail(st.RemoveJob(h))
 			dropped++
 		}
 	}
@@ -293,7 +296,7 @@ func gc(st *rrbus.DirStore, dir string, rm, dryRun bool, backend rrbus.Backend) 
 		}
 		doc.Add(t)
 	}
-	fail(rrbus.RenderTo(os.Stdout, doc, backend))
+	prog.Fail(rrbus.RenderTo(os.Stdout, doc, backend))
 }
 
 // compact strips the bounded trace windows out of every trace-bearing
@@ -302,7 +305,7 @@ func gc(st *rrbus.DirStore, dir string, rm, dryRun bool, backend rrbus.Backend) 
 // byte-identically; -dry-run only sizes the savings.
 func compact(st *rrbus.DirStore, dir string, dryRun bool, backend rrbus.Backend) {
 	rep, err := st.Compact(dryRun)
-	fail(err)
+	prog.Fail(err)
 
 	doc := &rrbus.Document{Title: "compact " + dir}
 	head := fmt.Sprintf("store %s: scanned %d rows, compacted %d trace-bearing, stripped %d trace events, saved %d bytes",
@@ -311,7 +314,7 @@ func compact(st *rrbus.DirStore, dir string, dryRun bool, backend rrbus.Backend)
 		head += " (dry run)"
 	}
 	doc.Add(rrbus.HeadingBlock{Level: 1, Text: head})
-	fail(rrbus.RenderTo(os.Stdout, doc, backend))
+	prog.Fail(rrbus.RenderTo(os.Stdout, doc, backend))
 }
 
 // sync pushes the server's missing rows up (push) or fetches this
@@ -329,18 +332,11 @@ func sync(st *rrbus.DirStore, dir, url string, push bool, backend rrbus.Backend)
 	} else {
 		rep, err = rrbus.PullStore(ctx, st, url, nil)
 	}
-	fail(err)
+	prog.Fail(err)
 
 	doc := &rrbus.Document{Title: verb + " " + dir}
 	doc.Add(rrbus.HeadingBlock{Level: 1,
 		Text: fmt.Sprintf("store %s: %s %s: %d local rows, %d remote rows, %d transferred, %d duplicate",
 			dir, verb, prep+" "+url, rep.LocalRows, rep.RemoteRows, rep.Transferred, rep.Duplicate)})
-	fail(rrbus.RenderTo(os.Stdout, doc, backend))
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rrbus-store:", err)
-		os.Exit(1)
-	}
+	prog.Fail(rrbus.RenderTo(os.Stdout, doc, backend))
 }

@@ -33,7 +33,10 @@ import (
 	"time"
 
 	"rrbus"
+	"rrbus/internal/cli"
 )
+
+const prog cli.Program = "rrbus-worker"
 
 func main() {
 	coordinator := flag.String("coordinator", "", "distribute-mode rrbus-serve URL, e.g. http://host:8077 (required)")
@@ -48,12 +51,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var st rrbus.Store
-	if *storeDir != "" {
-		ds, err := rrbus.OpenDirStore(*storeDir)
-		fail(err)
-		st = ds
-	}
+	st := prog.OpenStore(*storeDir)
 
 	// First signal: finish in-flight jobs, ship their rows, release the
 	// lease remainder for immediate requeue, report, exit clean. Second
@@ -75,13 +73,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "rrbus-worker: drained: %d leases, %d rows shipped, %d released, %d simulated, %d local hits, %d quarantined, %d repaired, %d retried\n",
 		sum.Leases, sum.Shipped, sum.Released, sum.Simulated, sum.StoreHits, sum.Quarantined, sum.Repaired, sum.Retried)
 	if err != nil && !errors.Is(err, context.Canceled) {
-		fail(err)
-	}
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rrbus-worker:", err)
-		os.Exit(1)
+		prog.Fail(err)
 	}
 }

@@ -61,13 +61,3 @@ func PushStore(ctx context.Context, local SyncableStore, base string, client *ht
 func PullStore(ctx context.Context, local SyncableStore, base string, client *http.Client) (*StoreSyncReport, error) {
 	return dist.Pull(ctx, local, base, client)
 }
-
-// WireResultRow packages a row for transfer with its store integrity
-// checksum (the form PushStore ships and a Server ingests).
-func WireResultRow(jobHash string, r Result) (WorkResultRow, error) {
-	return dist.WireRow(jobHash, r)
-}
-
-// DecodeResultRow verifies a wire row's checksum and schema and decodes
-// it — the ingest-side integrity gate, exported for custom transports.
-func DecodeResultRow(row WorkResultRow) (Result, error) { return dist.DecodeRow(row) }

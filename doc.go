@@ -133,30 +133,31 @@
 // round-robin, WRR and TDMA arbitration, and CI diffs the recorded
 // JSONL rows of a whole scenario run between the modes byte for byte.
 // Fall back to cycle-by-cycle execution when you want it: per run with
-// RunOpts.DisableFastForward, per System with SetFastForward(false),
-// process-wide with the rrbus-sim -no-fast-forward flag. The main
-// reason to fall back is observation granularity — a RunUntil predicate
-// is probed once per executed step, so a predicate that compares
-// Cycle() against a threshold can observe the clock after it has
-// already jumped past that threshold. Express run-until conditions in
-// simulated state (iterations retired, a counter reaching a value) and
-// pass cycle limits as maxCycles; sim.CheckPredicates turns the footgun
-// into a panic in tests. Runs of consecutive same-latency instructions
-// that cannot touch the bus (nops, IALU and branch stretches) execute
-// as one batched step so the jumps compound; the equivalence tests
-// cover the batching too.
+// RunOpts.Engine = EngineOracle, per pipeline run with Session.Engine,
+// or with the rrbus-sim -no-fast-forward flag. The main reason to fall
+// back is observation granularity — a RunUntil predicate is probed once
+// per executed step, so a predicate that compares Cycle() against a
+// threshold can observe the clock after it has already jumped past that
+// threshold. Express run-until conditions in simulated state (iterations
+// retired, a counter reaching a value) and pass cycle limits as
+// maxCycles; internal/sim's tests turn on a per-System predicate check
+// that makes the footgun panic. Runs of consecutive same-latency
+// instructions that cannot touch the bus (nops, IALU and branch
+// stretches) execute as one batched step so the jumps compound; the
+// equivalence tests cover the batching too.
 //
 // # Engine modes
 //
 // The simulator has three engine modes, each a strict optimization of the
-// previous with bit-identical results:
+// previous with bit-identical results. One Engine value selects the mode:
+// RunOpts.Engine for a single run, Session.Engine for every job of a
+// pipeline run, and the rrbus-sim flags for the command line.
 //
 //   - cycle-by-cycle: the legacy oracle loop; every component ticks every
-//     cycle (RunOpts.DisableFastForward / SetFastForward(false) /
-//     rrbus-sim -no-fast-forward);
-//   - event-driven: the scheduler jumps from event to event (the default
-//     substrate; RunOpts.DisableSteadyState / SetSteadyState(false) /
-//     rrbus-sim -no-steady-state selects it alone);
+//     cycle (EngineOracle; rrbus-sim -no-fast-forward);
+//   - event-driven: the scheduler jumps from event to event (the
+//     substrate of the default; EngineEvent or rrbus-sim
+//     -no-steady-state selects it alone);
 //   - steady-state memoization: on top of event-driven execution, the
 //     engine fingerprints the complete architectural state at the
 //     measured core's iteration boundaries; when a fingerprint recurs
@@ -164,8 +165,8 @@
 //     observable deltas, the system is in a periodic fixed point and
 //     whole periods are extrapolated in closed form — counters advance
 //     by multiples of the verified per-period delta, every absolute
-//     cycle shifts by the leap — instead of being simulated (the
-//     default).
+//     cycle shifts by the leap — instead of being simulated
+//     (EngineSteady, the zero value and the default).
 //
 // The determinism guarantee is unconditional: a leap happens only after
 // a full-state recurrence (cores, store buffers, cache sets and
@@ -367,8 +368,8 @@
 // endpoint (queued → simulating → complete, with the Session's
 // Simulated/StoreHits/Quarantined/Repaired counts) until the document
 // is ready. Submissions are doubly deduplicated: a plan already queued
-// or running absorbs resubmissions, and overlapping plans share a
-// JobDedup claim table so two clients submitting at once never
+// or running absorbs resubmissions, and overlapping plans share the
+// server's job-hash claim table so two clients submitting at once never
 // simulate the same job hash twice. /metrics exposes the same Session
 // counters plus simulator-core throughput (cycles, extrapolated
 // cycles, cycles/s) in the Prometheus text format with no dependency.

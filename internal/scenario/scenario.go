@@ -260,10 +260,10 @@ type Job struct {
 	Isolation bool `json:"isolation,omitempty"`
 }
 
-// Run executes the job: the scenario's run, plus the isolation pairing
-// when requested.
-func (j Job) Run() (Result, error) {
-	res, _, _, err := j.RunFull()
+// Run executes the job on engine e: the scenario's run, plus the
+// isolation pairing when requested. The row is the same in every engine.
+func (j Job) Run(e sim.Engine) (Result, error) {
+	res, _, _, err := j.RunFull(e)
 	return res, err
 }
 
@@ -273,12 +273,13 @@ func (j Job) Run() (Result, error) {
 // headers). Single-run tooling (rrbus-sim) uses it to print the full
 // platform detail from one build while still emitting the
 // self-describing row.
-func (j Job) RunFull() (Result, *sim.Measurement, sim.Workload, error) {
+func (j Job) RunFull(e sim.Engine) (Result, *sim.Measurement, sim.Workload, error) {
 	cfg, w, err := j.Scenario.Build()
 	if err != nil {
 		return Result{}, nil, sim.Workload{}, err
 	}
 	opts := j.Scenario.Protocol.opts()
+	opts.Engine = e
 	m, err := sim.Run(cfg, w, opts)
 	if err != nil {
 		return Result{}, nil, sim.Workload{}, fmt.Errorf("job %q: %w", j.ID, err)
@@ -398,7 +399,7 @@ func (p *Plan) Expand() ([]Job, error) {
 // completed prefix before returning ctx.Err() (see exp.StreamShard).
 func Stream(ctx context.Context, jobs []Job, shard exp.Shard, sink exp.Sink[Result]) error {
 	return exp.StreamShard(ctx, shard, exp.Workers(), len(jobs), func(i int) (Result, error) {
-		return jobs[i].Run()
+		return jobs[i].Run(sim.Steady)
 	}, sink)
 }
 

@@ -178,7 +178,7 @@ func TestJobRunMatchesDirectSimulation(t *testing.T) {
 		},
 		Isolation: true,
 	}
-	res, err := job.Run()
+	res, err := job.Run(sim.Steady)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,22 +31,20 @@ func newCheckPredSystem(t *testing.T) *System {
 	return sys
 }
 
-// TestCheckPredicatesFlagsCyclePredicate pins the RunUntil footgun guard:
-// with CheckPredicates enabled, a predicate that reads a raw Cycle()
+// TestCheckPredicateFlagsCyclePredicate pins the RunUntil footgun guard:
+// with checkPredicates enabled, a predicate that reads a raw Cycle()
 // threshold — which the event-driven clock can observe late — must panic
 // with a message that names the contract, while a predicate expressed in
 // simulated state must run unmolested.
-func TestCheckPredicatesFlagsCyclePredicate(t *testing.T) {
-	old := CheckPredicates
-	CheckPredicates = true
-	defer func() { CheckPredicates = old }()
-
+func TestCheckPredicateFlagsCyclePredicate(t *testing.T) {
+	t.Parallel()
 	t.Run("cycle-threshold-panics", func(t *testing.T) {
 		sys := newCheckPredSystem(t)
+		sys.checkPredicates = true
 		defer func() {
 			r := recover()
 			if r == nil {
-				t.Fatal("RunUntil accepted a Cycle()-reading predicate with CheckPredicates on")
+				t.Fatal("RunUntil accepted a Cycle()-reading predicate with checkPredicates on")
 			}
 			msg, ok := r.(string)
 			if !ok || !strings.Contains(msg, "predicate reads Cycle()") {
@@ -58,14 +56,13 @@ func TestCheckPredicatesFlagsCyclePredicate(t *testing.T) {
 
 	t.Run("state-predicate-passes", func(t *testing.T) {
 		sys := newCheckPredSystem(t)
+		sys.checkPredicates = true
 		if !sys.RunUntil(func() bool { return sys.Core(0).Iters() >= 3 }, 1<<20) {
 			t.Fatal("state-based predicate did not complete")
 		}
 	})
 
 	t.Run("disabled-by-default", func(t *testing.T) {
-		CheckPredicates = false
-		defer func() { CheckPredicates = true }()
 		sys := newCheckPredSystem(t)
 		// Without the assertion the cycle predicate still terminates (the
 		// clock eventually passes the threshold); it must not panic.

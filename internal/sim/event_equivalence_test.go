@@ -44,11 +44,12 @@ func eqArbiters() []struct {
 // (histograms, PMCs, cache and bus statistics) and its grant trace to be
 // bit-identical to the cycle-by-cycle run.
 func TestEventCoreRandomizedEquivalence(t *testing.T) {
+	t.Parallel()
 	for _, arb := range eqArbiters() {
 		for _, seed := range []uint64{7, 21, 42} {
 			t.Run(fmt.Sprintf("%s-seed%d", arb.name, seed), func(t *testing.T) {
 				ts := workload.RandomTaskSets(1, arb.cfg.Cores, seed)[0]
-				run := func(fastForward bool) (*Measurement, []grantEvent) {
+				run := func(e Engine) (*Measurement, []grantEvent) {
 					progs, err := ts.Build()
 					if err != nil {
 						t.Fatal(err)
@@ -56,7 +57,7 @@ func TestEventCoreRandomizedEquivalence(t *testing.T) {
 					var evs []grantEvent
 					m, err := Run(arb.cfg, Workload{Scua: progs[0], Contenders: progs[1:]}, RunOpts{
 						WarmupIters: 2, MeasureIters: 5, CollectGammas: true,
-						DisableFastForward: !fastForward,
+						Engine: e,
 						OnGrant: func(r *bus.Request) {
 							evs = append(evs, grantEvent{r.Port, r.Kind, r.Ready, r.Grant, r.Occupancy})
 						},
@@ -66,8 +67,8 @@ func TestEventCoreRandomizedEquivalence(t *testing.T) {
 					}
 					return m, evs
 				}
-				slowM, slowT := run(false)
-				fastM, fastT := run(true)
+				slowM, slowT := run(Oracle)
+				fastM, fastT := run(Event)
 				if !reflect.DeepEqual(slowM, fastM) {
 					t.Errorf("%v: measurements differ:\ncycle-by-cycle: %+v\nevent-driven:   %+v",
 						ts.Names, slowM, fastM)
@@ -87,9 +88,10 @@ func TestEventCoreRandomizedEquivalence(t *testing.T) {
 // PortStallCycles and SBStallCycles) and the grant trace to match the
 // cycle-by-cycle run under every arbiter.
 func TestEventCoreStallCountersAllArbiters(t *testing.T) {
+	t.Parallel()
 	for _, arb := range eqArbiters() {
 		t.Run(arb.name, func(t *testing.T) {
-			run := func(fastForward bool) ([]cpu.Counters, []grantEvent) {
+			run := func(e Engine) ([]cpu.Counters, []grantEvent) {
 				b := kernel.NewBuilder(arb.cfg.DL1, arb.cfg.IL1, arb.cfg.L2)
 				b.Unroll = 2
 				scua, err := b.RSKNop(0, isa.OpStore, 4)
@@ -110,7 +112,7 @@ func TestEventCoreStallCountersAllArbiters(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sys.SetFastForward(fastForward)
+				sys.setEngine(e)
 				var evs []grantEvent
 				sys.Bus().OnGrant = func(r *bus.Request) {
 					evs = append(evs, grantEvent{r.Port, r.Kind, r.Ready, r.Grant, r.Occupancy})
@@ -124,8 +126,8 @@ func TestEventCoreStallCountersAllArbiters(t *testing.T) {
 				}
 				return ctrs, evs
 			}
-			slowC, slowT := run(false)
-			fastC, fastT := run(true)
+			slowC, slowT := run(Oracle)
+			fastC, fastT := run(Event)
 			if !reflect.DeepEqual(slowC, fastC) {
 				t.Errorf("per-core counters differ:\ncycle-by-cycle: %+v\nevent-driven:   %+v", slowC, fastC)
 			}

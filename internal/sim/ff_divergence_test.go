@@ -23,7 +23,7 @@ type grantEvent struct {
 	Occupancy int
 }
 
-func grantTrace(t *testing.T, cfg Config, k int, op isa.Op, fastForward bool) []grantEvent {
+func grantTrace(t *testing.T, cfg Config, k int, op isa.Op, e Engine) []grantEvent {
 	t.Helper()
 	b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
 	b.Unroll = 2
@@ -45,7 +45,7 @@ func grantTrace(t *testing.T, cfg Config, k int, op isa.Op, fastForward bool) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SetFastForward(fastForward)
+	sys.setEngine(e)
 	var evs []grantEvent
 	sys.Bus().OnGrant = func(r *bus.Request) {
 		evs = append(evs, grantEvent{r.Port, r.Kind, r.Ready, r.Grant, r.Occupancy})
@@ -57,6 +57,7 @@ func grantTrace(t *testing.T, cfg Config, k int, op isa.Op, fastForward bool) []
 }
 
 func TestFastForwardGrantEquivalence(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -69,8 +70,8 @@ func TestFastForwardGrantEquivalence(t *testing.T) {
 		{"var-load-k3", NGMPVar(), isa.OpLoad, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			slow := grantTrace(t, tc.cfg, tc.k, tc.op, false)
-			fast := grantTrace(t, tc.cfg, tc.k, tc.op, true)
+			slow := grantTrace(t, tc.cfg, tc.k, tc.op, Oracle)
+			fast := grantTrace(t, tc.cfg, tc.k, tc.op, Steady)
 			if len(slow) != len(fast) {
 				t.Fatalf("event counts differ: %d cycle-by-cycle vs %d fast-forward", len(slow), len(fast))
 			}
@@ -84,6 +85,7 @@ func TestFastForwardGrantEquivalence(t *testing.T) {
 }
 
 func TestFastForwardMeasurementEquivalence(t *testing.T) {
+	t.Parallel()
 	// The full measurement harness (warmup boundary, stats reset, window
 	// length, histograms, PMCs) must be bit-identical with and without
 	// the fast path. Isolation runs additionally exercise the idle
@@ -92,7 +94,7 @@ func TestFastForwardMeasurementEquivalence(t *testing.T) {
 	// warmup-boundary ResetStats can land mid-batch on a contender core
 	// (the mid-flight batch split in Core.ResetCounters).
 	cfg := NGMPRef()
-	run := func(fastForward bool, contenderK int) *Measurement {
+	run := func(e Engine, contenderK int) *Measurement {
 		b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
 		b.Unroll = 2
 		scua, err := b.RSKNop(0, isa.OpLoad, 7)
@@ -111,7 +113,7 @@ func TestFastForwardMeasurementEquivalence(t *testing.T) {
 		}
 		m, err := Run(cfg, w, RunOpts{
 			WarmupIters: 3, MeasureIters: 10, CollectGammas: true,
-			DisableFastForward: !fastForward,
+			Engine: e,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -119,8 +121,8 @@ func TestFastForwardMeasurementEquivalence(t *testing.T) {
 		return m
 	}
 	for _, contenderK := range []int{-1, 0, 25} {
-		slow := run(false, contenderK)
-		fast := run(true, contenderK)
+		slow := run(Oracle, contenderK)
+		fast := run(Steady, contenderK)
 		if !reflect.DeepEqual(slow, fast) {
 			t.Errorf("contenderK=%d: measurements differ:\ncycle-by-cycle: %+v\nfast-forward:   %+v", contenderK, slow, fast)
 		}
@@ -128,12 +130,13 @@ func TestFastForwardMeasurementEquivalence(t *testing.T) {
 }
 
 func TestFastForwardContenderCountersAcrossReset(t *testing.T) {
+	t.Parallel()
 	// Per-core counters of every core — not just the scua — must match
 	// the scalar run even when ResetStats lands in the middle of a
 	// contender's nop batch: the batch pre-commits its Nops/Instrs, and
 	// ResetCounters re-credits the post-reset remainder.
 	cfg := NGMPRef()
-	run := func(fastForward bool) []int64 {
+	run := func(e Engine) []int64 {
 		b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
 		b.Unroll = 2
 		progs := make([]*isa.Program, cfg.Cores)
@@ -150,7 +153,7 @@ func TestFastForwardContenderCountersAcrossReset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.SetFastForward(fastForward)
+		sys.setEngine(e)
 		// Sweep the reset across many cycle offsets so some land inside
 		// a contender's 20+ nop batch.
 		var counts []int64
@@ -165,14 +168,15 @@ func TestFastForwardContenderCountersAcrossReset(t *testing.T) {
 		}
 		return counts
 	}
-	slow := run(false)
-	fast := run(true)
+	slow := run(Oracle)
+	fast := run(Steady)
 	if !reflect.DeepEqual(slow, fast) {
 		t.Errorf("per-core counters diverge:\ncycle-by-cycle: %v\nfast-forward:   %v", slow, fast)
 	}
 }
 
 func TestFastForwardIALUBatchEquivalence(t *testing.T) {
+	t.Parallel()
 	// IALU runs batch like nop runs; compute-dominated EEMBC-like
 	// profiles are the workloads with long same-latency ALU stretches.
 	// The full measurement (window, requests, PMCs, per-core counters —
@@ -181,21 +185,21 @@ func TestFastForwardIALUBatchEquivalence(t *testing.T) {
 	cfg := NGMPRef()
 	sets := workload.RandomTaskSets(3, cfg.Cores, 11)
 	for si, ts := range sets {
-		run := func(fastForward bool) *Measurement {
+		run := func(e Engine) *Measurement {
 			progs, err := ts.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
 			m, err := Run(cfg, Workload{Scua: progs[0], Contenders: progs[1:]},
 				RunOpts{WarmupIters: 2, MeasureIters: 6, CollectGammas: true,
-					DisableFastForward: !fastForward})
+					Engine: e})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m
 		}
-		slow := run(false)
-		fast := run(true)
+		slow := run(Oracle)
+		fast := run(Steady)
 		if !reflect.DeepEqual(slow, fast) {
 			t.Errorf("set %d (%v): measurements differ:\ncycle-by-cycle: %+v\nfast-forward:   %+v",
 				si, ts.Names, slow, fast)
@@ -204,6 +208,7 @@ func TestFastForwardIALUBatchEquivalence(t *testing.T) {
 }
 
 func TestFastForwardIALUGrantEquivalence(t *testing.T) {
+	t.Parallel()
 	// Grant-level equivalence for a mixed-latency ALU body: runs of
 	// IALU(0) (IntLatency) and IALU(3) interleaved with loads, so
 	// batches form, split at latency changes, and end at the loop
@@ -233,13 +238,13 @@ func TestFastForwardIALUGrantEquivalence(t *testing.T) {
 		}
 		return progs
 	}
-	trace := func(fastForward bool) []grantEvent {
+	trace := func(e Engine) []grantEvent {
 		progs := mk()
 		sys, err := NewSystem(cfg, progs, []uint64{25, 0, 0, 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.SetFastForward(fastForward)
+		sys.setEngine(e)
 		var evs []grantEvent
 		sys.Bus().OnGrant = func(r *bus.Request) {
 			evs = append(evs, grantEvent{r.Port, r.Kind, r.Ready, r.Grant, r.Occupancy})
@@ -249,8 +254,8 @@ func TestFastForwardIALUGrantEquivalence(t *testing.T) {
 		}
 		return evs
 	}
-	slow := trace(false)
-	fast := trace(true)
+	slow := trace(Oracle)
+	fast := trace(Steady)
 	if len(slow) != len(fast) {
 		t.Fatalf("event counts differ: %d cycle-by-cycle vs %d fast-forward", len(slow), len(fast))
 	}

@@ -289,6 +289,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(cfg, Workload{Scua: p, Contenders: make([]*isa.Program, 4)}, RunOpts{}); err == nil {
 		t.Error("too many contenders must fail")
 	}
+	if _, err := Run(cfg, Workload{Scua: p}, RunOpts{Engine: Oracle + 1}); err == nil {
+		t.Error("unknown engine must fail")
+	}
 }
 
 func TestRunMaxCyclesGuard(t *testing.T) {

@@ -54,17 +54,12 @@ type RunOpts struct {
 	// measured once and the timeline is rendered from the events — live
 	// or replayed from a results file — without re-simulating.
 	TraceLimit int
-	// DisableFastForward forces cycle-by-cycle execution instead of the
-	// idle-cycle fast path. Results are identical either way (the
-	// equivalence tests prove it); the switch exists for debugging and
-	// for those tests.
-	DisableFastForward bool
-	// DisableSteadyState keeps the event-driven scheduler but disables
-	// steady-state period extrapolation, so every period executes live.
-	// Results are identical either way (the three-way equivalence tests
-	// prove it); trace-bearing runs (TraceLimit, OnGrant) disable it
-	// automatically because every grant must be observed individually.
-	DisableSteadyState bool
+	// Engine selects how the run executes; the zero value is Steady.
+	// Results are identical in every engine (the three-way equivalence
+	// tests prove it). Trace-bearing runs (TraceLimit, OnGrant) never
+	// extrapolate periods, because every grant must be observed
+	// individually.
+	Engine Engine
 }
 
 func (o *RunOpts) fill() {
@@ -141,11 +136,8 @@ func (m *Measurement) SlowdownVs(isol *Measurement) (int64, error) {
 // Run executes the workload on cfg and measures the scua over opt's window.
 func Run(cfg Config, w Workload, opt RunOpts) (*Measurement, error) {
 	opt.fill()
-	if ForceCycleByCycle {
-		opt.DisableFastForward = true
-	}
-	if ForceNoSteadyState {
-		opt.DisableSteadyState = true
+	if opt.Engine > Oracle {
+		return nil, fmt.Errorf("sim: unknown engine %d", opt.Engine)
 	}
 	if w.Scua == nil {
 		return nil, fmt.Errorf("sim: workload has no scua")
@@ -189,8 +181,7 @@ func Run(cfg Config, w Workload, opt RunOpts) (*Measurement, error) {
 	// The system is private to this run and every returned quantity below
 	// is a copy, so its pooled allocations can be recycled on exit.
 	defer sys.Release()
-	sys.SetFastForward(!opt.DisableFastForward)
-	sys.SetSteadyState(!opt.DisableSteadyState)
+	sys.setEngine(opt.Engine)
 	sys.SetWatchCore(w.ScuaCore)
 	scua := sys.Core(w.ScuaCore)
 

@@ -40,16 +40,8 @@ import (
 //
 // The detector auto-disables whenever exact per-event observation is
 // required: a user OnGrant/OnSubmit hook (which TraceLimit and OnGrant run
-// options install), cycle-by-cycle mode, an explicit SetSteadyState(false)
-// or ForceNoSteadyState, or an arbiter that cannot digest its state.
-
-// ForceNoSteadyState disables steady-state extrapolation for every Run in
-// the process, as if each had set RunOpts.DisableSteadyState; the
-// event-driven scheduler still runs. Results are identical either way; the
-// switch exists for the CLI-level equivalence smoke (`rrbus-sim
-// -no-steady-state`), which diffs the recorded bytes of the engine modes
-// end to end.
-var ForceNoSteadyState = false
+// options install), an engine other than Steady, or an arbiter that cannot
+// digest its state.
 
 // ssExtrapolated/ssPeriods tally cycles covered by steady-state leaps and
 // whole periods leapt across every System in the process (see ExecStats).
@@ -240,13 +232,13 @@ type ssDetector struct {
 
 // ssArm resets the detector at RunUntil entry, disarming it when exact
 // per-event observation is required: an external grant/submit hook (the
-// harness installs one for TraceLimit and OnGrant runs), an explicit
-// opt-out, or an arbiter whose state cannot be digested. The watch
+// harness installs one for TraceLimit and OnGrant runs), the Event
+// engine, or an arbiter whose state cannot be digested. The watch
 // histograms are native bus counters, not hooks, so γ collection keeps the
 // fast path available.
 func (s *System) ssArm() {
 	d := &s.ss
-	if s.noSteadyState || ForceNoSteadyState ||
+	if s.engine != Steady ||
 		s.bus.OnGrant != nil || s.bus.OnSubmit != nil || !s.bus.CanDigest() {
 		d.state = ssOff
 		return

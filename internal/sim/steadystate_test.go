@@ -25,19 +25,18 @@ import (
 // steady-state mode's measurement for further assertions.
 func runThreeWay(t *testing.T, cfg Config, w Workload, opt RunOpts) *Measurement {
 	t.Helper()
-	mode := func(fastForward, steadyState bool) *Measurement {
+	mode := func(e Engine) *Measurement {
 		o := opt
-		o.DisableFastForward = !fastForward
-		o.DisableSteadyState = !steadyState
+		o.Engine = e
 		m, err := Run(cfg, w, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	oracle := mode(false, false)
-	event := mode(true, false)
-	steady := mode(true, true)
+	oracle := mode(Oracle)
+	event := mode(Event)
+	steady := mode(Steady)
 	if !reflect.DeepEqual(oracle, event) {
 		t.Errorf("event core deviates from oracle:\noracle: %+v\nevent:  %+v", oracle, event)
 	}
@@ -53,6 +52,7 @@ func runThreeWay(t *testing.T, cfg Config, w Workload, opt RunOpts) *Measurement
 // generator — the equivalence claim holds either way (aperiodic mixes
 // simply never leap).
 func TestSteadyStateRandomizedEquivalence(t *testing.T) {
+	t.Parallel()
 	for _, arb := range eqArbiters() {
 		for _, seed := range []uint64{7, 21, 42} {
 			t.Run(fmt.Sprintf("%s-seed%d", arb.name, seed), func(t *testing.T) {
@@ -73,6 +73,7 @@ func TestSteadyStateRandomizedEquivalence(t *testing.T) {
 // per-period deltas include SB pushes/drains and span-accounted stalls,
 // and requires three-way identical measurements under every arbiter.
 func TestSteadyStateStoreKernelEquivalence(t *testing.T) {
+	t.Parallel()
 	for _, arb := range eqArbiters() {
 		t.Run(arb.name, func(t *testing.T) {
 			b := kernel.NewBuilder(arb.cfg.DL1, arb.cfg.IL1, arb.cfg.L2)
@@ -100,6 +101,7 @@ func TestSteadyStateStoreKernelEquivalence(t *testing.T) {
 // leap, covering a substantial share of the simulated cycles in closed
 // form.
 func TestSteadyStateEngages(t *testing.T) {
+	// Sequential: a parallel test would add to its ReadExecStats deltas.
 	cfg := NGMPRef()
 	b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
 	scua, err := b.RSK(0, isa.OpLoad)
@@ -136,6 +138,7 @@ func TestSteadyStateEngages(t *testing.T) {
 // hook — must never extrapolate, and must still match the oracle
 // byte-for-byte.
 func TestSteadyStateGuardPaths(t *testing.T) {
+	// Sequential: a parallel test would add to its ReadExecStats deltas.
 	cfg := NGMPRef()
 	b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
 	scua, err := b.RSK(0, isa.OpLoad)
@@ -176,7 +179,7 @@ func TestSteadyStateGuardPaths(t *testing.T) {
 				t.Fatalf("guarded run extrapolated %d periods; must execute every event", leapt)
 			}
 			oracleOpt := g.opt()
-			oracleOpt.DisableFastForward = true
+			oracleOpt.Engine = Oracle
 			oracle, err := Run(cfg, w, oracleOpt)
 			if err != nil {
 				t.Fatal(err)
@@ -194,9 +197,10 @@ func TestSteadyStateGuardPaths(t *testing.T) {
 // limit so the done state change executes live, and the final counters
 // must match the oracle exactly.
 func TestSteadyStateBoundedContenders(t *testing.T) {
+	t.Parallel()
 	cfg := NGMPRef()
 	b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
-	run := func(fastForward, steadyState bool) []uint64 {
+	run := func(e Engine) []uint64 {
 		var progs []*isa.Program
 		for c := 0; c < cfg.Cores; c++ {
 			p, err := b.RSK(c, isa.OpLoad)
@@ -212,8 +216,7 @@ func TestSteadyStateBoundedContenders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.SetFastForward(fastForward)
-		sys.SetSteadyState(steadyState)
+		sys.setEngine(e)
 		if !sys.RunUntil(func() bool { return sys.Core(0).Done() }, 1<<24) {
 			t.Fatal("scua did not finish")
 		}
@@ -224,9 +227,9 @@ func TestSteadyStateBoundedContenders(t *testing.T) {
 		}
 		return out
 	}
-	oracle := run(false, false)
-	event := run(true, false)
-	steady := run(true, true)
+	oracle := run(Oracle)
+	event := run(Event)
+	steady := run(Steady)
 	if !reflect.DeepEqual(oracle, event) {
 		t.Errorf("event core deviates from oracle: %v vs %v", oracle, event)
 	}
@@ -253,6 +256,7 @@ func withArbiters(cfg Config) []Config {
 // workload is the one RunIsolation measures (the scua alone, every other
 // core idle).
 func TestSteadyStateIsolationEquivalence(t *testing.T) {
+	t.Parallel()
 	for _, base := range []Config{NGMPRef(), NGMPVar(), Toy(), Scaled(NGMPRef(), 6, 3, 6)} {
 		for _, cfg := range withArbiters(base) {
 			b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
@@ -277,6 +281,7 @@ func TestSteadyStateIsolationEquivalence(t *testing.T) {
 // nil contender slots around it, so halted idle cores sit on both sides of
 // the scua's port in the arbitration order.
 func TestSteadyStateIdleSlotEquivalence(t *testing.T) {
+	t.Parallel()
 	const scuaCore = 2
 	for _, cfg := range withArbiters(NGMPRef()) {
 		b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
@@ -318,6 +323,7 @@ func TestSteadyStateIdleSlotEquivalence(t *testing.T) {
 // digest field that drifts with the clock, or an idle core that never
 // settles, turns leaping off silently — this test is what notices.
 func TestSteadyStateEngagesIsolation(t *testing.T) {
+	// Sequential: a parallel test would add to its ReadExecStats deltas.
 	cfg := NGMPRef()
 	b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
 	b.Unroll = 2

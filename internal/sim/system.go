@@ -18,6 +18,23 @@ const (
 	tagIFetch
 )
 
+// Engine selects how a System executes. Every engine produces
+// bit-identical results — the equivalence suite and the CI engine smoke
+// diff them — so the choice only changes how much work a run does.
+type Engine uint8
+
+const (
+	// Steady is the default: event-driven execution that additionally
+	// leaps whole periods once the run settles into a verified periodic
+	// fixed point (see internal steadystate).
+	Steady Engine = iota
+	// Event jumps from event to event, executing every period.
+	Event
+	// Oracle ticks every component every cycle with instruction-run
+	// batching off: the legacy loop the other engines are diffed against.
+	Oracle
+)
+
 // System is one fully wired simulated platform executing a set of programs,
 // one per core. It advances cycle by cycle and is strictly deterministic.
 type System struct {
@@ -36,19 +53,24 @@ type System struct {
 	// allocation per L2 miss.
 	respReq bus.Request
 
-	// noFastForward disables the event-driven scheduler in RunUntil,
-	// forcing the historical tick-everything loop; the equivalence tests
-	// use it as the oracle the event core is diffed against.
-	noFastForward bool
+	// engine selects how RunUntil executes (see Engine).
+	engine Engine
+	// checkPredicates enables a debug assertion in RunUntil that catches
+	// predicates reading raw Cycle() thresholds: the event-driven clock
+	// jumps between events, so such a predicate can be observed later than
+	// under cycle-by-cycle execution (RunUntil's documented footgun). The
+	// check probes the predicate once per RunUntil call with a temporarily
+	// offset clock and panics when the result depends on it. Off by
+	// default (it costs two extra predicate calls and legitimately
+	// cycle-gated harnesses exist under the Oracle engine); tests enable
+	// it.
+	checkPredicates bool
 
-	// noSteadyState disables steady-state period extrapolation on top of
-	// the event-driven scheduler (see SetSteadyState); ss is the per-system
-	// detector, re-armed at every event-driven RunUntil entry, and ssWatch
-	// the core whose iteration boundaries it observes (the scua under the
-	// measurement harness).
-	noSteadyState bool
-	ssWatch       int
-	ss            ssDetector
+	// ss is the per-system steady-state detector, re-armed at every
+	// event-driven RunUntil entry, and ssWatch the core whose iteration
+	// boundaries it observes (the scua under the measurement harness).
+	ssWatch int
+	ss      ssDetector
 
 	// Event scheduler state (event-driven RunUntil only). eq registers
 	// each component's next self-scheduled cycle (cores by index, then
@@ -68,23 +90,6 @@ type System struct {
 	steps    uint64
 	lastExec uint64
 }
-
-// CheckPredicates enables a debug assertion in RunUntil that catches
-// predicates reading raw Cycle() thresholds: the event-driven clock jumps
-// between events, so such a predicate can be observed later than under
-// cycle-by-cycle execution (RunUntil's documented footgun). The check
-// probes the predicate once per RunUntil call with a temporarily offset
-// clock and panics when the result depends on it. Off by default (it
-// costs two extra predicate calls and legitimately cycle-gated harnesses
-// exist under SetFastForward(false)); tests enable it.
-var CheckPredicates = false
-
-// ForceCycleByCycle disables the event-driven scheduler for every Run in
-// the process, as if each had set RunOpts.DisableFastForward. Results are
-// identical either way; the switch exists for the CLI-level equivalence
-// smoke (`rrbus-sim -no-fast-forward`), which diffs the recorded bytes of
-// the two execution modes end to end.
-var ForceCycleByCycle = false
 
 // execSteps/execCycles tally macro-steps executed and cycles simulated
 // across every System in the process (RunUntil accumulates on exit).
@@ -109,7 +114,7 @@ type ExecStats struct {
 
 // ReadExecStats returns the cumulative process-wide execution tally.
 // Cycles/Steps is the dead-time elimination factor of the event-driven
-// scheduler (1.0 under SetFastForward(false)); Extrapolated/Cycles is the
+// scheduler (1.0 under the Oracle engine); Extrapolated/Cycles is the
 // share of simulated time the steady-state engine covered in closed form.
 func ReadExecStats() ExecStats {
 	return ExecStats{
@@ -359,7 +364,7 @@ func (s *System) routeResponses(c uint64) {
 
 // Step advances the platform by one cycle, ticking every component — the
 // legacy cycle-by-cycle loop, kept as the oracle the event-driven
-// scheduler's equivalence tests diff against (see SetFastForward).
+// scheduler's equivalence tests diff against (see Oracle).
 func (s *System) Step() {
 	c := s.cycle
 	// Deferred submissions activate at their registered ready cycle, in
@@ -509,7 +514,7 @@ func (s *System) syncCores() {
 // skipped are exactly the cycles in which the legacy loop would not have
 // changed any simulated state; per-cycle stall counters are charged in
 // closed form over the skipped span, so grant traces, gamma histograms and
-// all counters are bit-identical to SetFastForward(false). On saturated
+// all counters are bit-identical to the Oracle engine. On saturated
 // rsk workloads this cuts the executed step count by roughly the bus
 // occupancy lbus.
 //
@@ -518,7 +523,7 @@ func (s *System) syncCores() {
 // several cycles at once, so a predicate triggering on a raw cycle
 // threshold can be observed later than under cycle-by-cycle execution.
 // Bound runs in time with maxCycles — the jump never passes it — or
-// disable the fast path with SetFastForward(false).
+// measure with the Oracle engine (RunOpts.Engine).
 func (s *System) RunUntil(pred func() bool, maxCycles uint64) bool {
 	startSteps, startCycle := s.steps, s.cycle
 	defer func() {
@@ -528,7 +533,7 @@ func (s *System) RunUntil(pred func() bool, maxCycles uint64) bool {
 	if pred() {
 		return true
 	}
-	if s.noFastForward {
+	if s.engine == Oracle {
 		for s.cycle < maxCycles {
 			s.Step()
 			if pred() {
@@ -537,7 +542,7 @@ func (s *System) RunUntil(pred func() bool, maxCycles uint64) bool {
 		}
 		return false
 	}
-	if CheckPredicates {
+	if s.checkPredicates {
 		s.checkPredicate(pred)
 	}
 	s.primeEvents()
@@ -574,7 +579,7 @@ func (s *System) RunUntil(pred func() bool, maxCycles uint64) bool {
 	return false
 }
 
-// checkPredicate is the CheckPredicates assertion: it evaluates pred once
+// checkPredicate is the checkPredicates assertion: it evaluates pred once
 // with the clock as-is and once with the clock temporarily pushed far into
 // the future, and panics when the results differ — that predicate is a
 // function of Cycle(), which RunUntil's event-driven clock jumps make
@@ -590,30 +595,19 @@ func (s *System) checkPredicate(pred func() bool) {
 		panic("sim: RunUntil predicate reads Cycle(); cycle-threshold predicates " +
 			"can fire late under the event-driven clock — express the condition " +
 			"in simulated state, pass the threshold as maxCycles, or run with " +
-			"SetFastForward(false)")
+			"the Oracle engine")
 	}
 }
 
-// SetFastForward toggles the idle-cycle fast path in RunUntil and the
-// cores' nop-run batching together (both enabled by default). Disabling
-// them forces the historical strictly cycle-by-cycle execution; results
-// are identical either way — the switch exists so the equivalence tests
-// can prove it.
-func (s *System) SetFastForward(enabled bool) {
-	s.noFastForward = !enabled
+// setEngine selects the execution engine. Oracle also turns off the
+// cores' instruction-run batching, so every instruction issues in its own
+// tick as in the legacy loop.
+func (s *System) setEngine(e Engine) {
+	s.engine = e
 	for _, c := range s.cores {
-		c.SetNopBatching(enabled)
+		c.SetNopBatching(e != Oracle)
 	}
 }
-
-// SetSteadyState toggles steady-state period extrapolation in the
-// event-driven RunUntil (enabled by default; irrelevant under
-// SetFastForward(false)). Disabling it forces every period to execute on
-// the event core; results are identical either way — the three-way
-// equivalence tests prove it. The detector also disarms itself whenever a
-// bus OnGrant/OnSubmit hook is installed or the arbiter cannot digest its
-// state.
-func (s *System) SetSteadyState(enabled bool) { s.noSteadyState = !enabled }
 
 // SetWatchCore selects the core whose iteration boundaries the steady-state
 // detector observes — the core whose progress the RunUntil predicate

@@ -10,6 +10,7 @@ import (
 
 	"rrbus/internal/exp"
 	"rrbus/internal/scenario"
+	"rrbus/internal/sim"
 )
 
 // Session is the Run stage of the Plan→Run→Store→Render pipeline: it
@@ -34,7 +35,7 @@ import (
 //     per Retry; a zero policy disables retries.
 //
 // The zero value is a valid session: no store (every job simulates),
-// default worker count, unsharded, no retries.
+// default worker count, unsharded, no retries, the default engine.
 type Session struct {
 	// Store serves recorded rows and receives fresh ones; nil disables
 	// reuse. If the store also implements PlanRecorder, every plan the
@@ -51,6 +52,10 @@ type Session struct {
 	// Retry bounds retries of transient store errors. The zero value
 	// disables retrying.
 	Retry RetryPolicy
+	// Engine selects the simulator engine the session's jobs run on (the
+	// zero value is sim.Steady). Rows are identical in every engine and
+	// never record it, so rows stored under one engine serve the others.
+	Engine sim.Engine
 
 	simulated   atomic.Int64
 	hits        atomic.Int64
@@ -212,7 +217,7 @@ func (s *Session) RunContext(ctx context.Context, c *scenario.Compiled, sink exp
 			begin() // no store: simulation is where the job starts
 		}
 		s.simulated.Add(1)
-		r, err := c.Jobs[i].Run()
+		r, err := c.Jobs[i].Run(s.Engine)
 		end() // with a store, run only follows a lookup miss — same span
 		return r, err
 	}

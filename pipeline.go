@@ -31,7 +31,6 @@ import (
 	"rrbus/internal/sim"
 	"rrbus/internal/stats"
 	"rrbus/internal/store"
-	"rrbus/internal/workload"
 )
 
 type (
@@ -146,9 +145,6 @@ func GeneratorPlan(generator string, params Params) (*Plan, error) {
 	return scenario.CompileGenerator(generator, params)
 }
 
-// Generators lists the registered scenario generators.
-func Generators() []string { return scenario.Names() }
-
 // NewMemStore returns an empty in-process results store.
 func NewMemStore() *MemStore { return store.NewMem() }
 
@@ -164,24 +160,6 @@ func ParseShard(spec string) (Shard, error) { return exp.ParseShard(spec) }
 // (0 restores the default, GOMAXPROCS). Output is identical for any
 // value.
 func SetWorkers(n int) { exp.SetWorkers(n) }
-
-// SetFastForward toggles the event-driven scheduler for every subsequent
-// run in the process (enabled by default). Results are bit-identical
-// either way — the switch exists so CLI smoke tests can diff the two
-// execution modes end to end (`rrbus-sim -no-fast-forward`).
-func SetFastForward(enabled bool) { sim.ForceCycleByCycle = !enabled }
-
-// SetSteadyState toggles steady-state period memoization — the engine's
-// third mode, layered on event-driven execution — for every subsequent
-// run in the process (enabled by default). When a run's architectural
-// state is detected repeating with a fixed period, whole periods are
-// extrapolated in closed form instead of simulated; results are
-// bit-identical either way. Runs that need per-event observation
-// (traces, OnGrant/OnSubmit hooks) disable memoization automatically,
-// and disabling fast-forward implies disabling this too. The switch
-// exists so CLI smoke tests can diff all three engine modes end to end
-// (`rrbus-sim -no-steady-state`).
-func SetSteadyState(enabled bool) { sim.ForceNoSteadyState = !enabled }
 
 // DocumentFor rebuilds the plan's figure/table/bound Document from
 // recorded results: the plan generator's renderer when one exists, the
@@ -319,9 +297,6 @@ func ImportResults(st Store, p *Plan, results []Result) error {
 // headline table.
 func Summary(cfgs ...Config) ([]SummaryRow, error) { return figures.Summary(cfgs...) }
 
-// RenderSummary formats the headline table (text encoding, table only).
-func RenderSummary(rows []SummaryRow) string { return figures.RenderSummary(rows) }
-
 // SummaryDocument builds the headline table as a complete document
 // (heading included), renderable through any backend.
 func SummaryDocument(rows []SummaryRow) *Document { return figures.SummaryDocument(rows) }
@@ -330,28 +305,12 @@ func SummaryDocument(rows []SummaryRow) *Document { return figures.SummaryDocume
 // build reads and writes (DecodeDocument rejects newer ones).
 const DocumentSchema = report.DocumentSchema
 
-// IntV wraps an int table/series cell.
-func IntV(v int) Value { return report.IntV(v) }
-
-// Int64V wraps an int64 cell.
-func Int64V(v int64) Value { return report.Int64(v) }
-
-// FloatV wraps a float cell.
-func FloatV(v float64) Value { return report.FloatV(v) }
-
 // StringV wraps a string cell.
 func StringV(v string) Value { return report.StringV(v) }
 
 // PlatformByName returns a stock platform by its CLI spelling
 // ("ref", "var", "toy"; "" is ref).
 func PlatformByName(name string) (Config, error) { return sim.ByName(name) }
-
-// BuildTaskSpec builds a program from the task-spec grammar
-// ("rsk:load", "rsknop:store:12", "nop", "l2miss:load", profile names)
-// placed on the given core. Seed parameterizes profile generators.
-func BuildTaskSpec(b KernelBuilder, spec string, core int, seed uint64) (*Program, error) {
-	return workload.BuildSpec(b, spec, core, seed)
-}
 
 // HistogramFromDense wraps a dense count array (e.g. Measurement.
 // GammaHist) in a renderable Histogram.

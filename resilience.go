@@ -48,14 +48,6 @@ type (
 // hiccup without masking a persistent failure.
 var DefaultRetry = RetryPolicy{Max: 3, BaseDelay: 25 * time.Millisecond}
 
-// ErrFaultInjected is the cause inside every transient error a
-// FaultyStore injects, distinguishing harness faults from real ones.
-var ErrFaultInjected = store.ErrInjected
-
-// IsTransientStoreError reports whether err is (or wraps) a retryable
-// store failure.
-func IsTransientStoreError(err error) bool { return store.IsTransient(err) }
-
 // IsCorruptStoreError reports whether err is (or wraps) a damaged-entry
 // store failure.
 func IsCorruptStoreError(err error) bool { return store.IsCorrupt(err) }

@@ -98,6 +98,22 @@ const (
 	ArbiterWRR     = sim.ArbiterWRR
 )
 
+// Engine selects how the simulator executes a run (RunOpts.Engine,
+// Session.Engine). Results are bit-identical in every engine.
+type Engine = sim.Engine
+
+// Simulator engines.
+const (
+	// EngineSteady is the default: event-driven execution that leaps
+	// whole periods of a verified periodic fixed point in closed form.
+	EngineSteady = sim.Steady
+	// EngineEvent jumps from event to event and executes every period.
+	EngineEvent = sim.Event
+	// EngineOracle ticks every component every cycle: the reference the
+	// other engines are diffed against.
+	EngineOracle = sim.Oracle
+)
+
 // ReferenceNGMP returns the paper's reference platform (§5.1): 4 cores,
 // 1-cycle L1s, round-robin bus with lbus = 9, so ubd = 27.
 func ReferenceNGMP() Config { return sim.NGMPRef() }

@@ -6,10 +6,7 @@ package rrbus
 // "Serving" section of doc.go for the endpoint contract; cmd/rrbus-serve
 // is the thin daemon over exactly this API.
 
-import (
-	"rrbus/internal/serve"
-	"rrbus/internal/store"
-)
+import "rrbus/internal/serve"
 
 type (
 	// Server is the HTTP handler of the bound-as-a-service layer:
@@ -28,12 +25,6 @@ type (
 	// DrainSummary is what Server.Drain reports: the Session
 	// counters summed over every session the server ran.
 	DrainSummary = serve.DrainSummary
-	// JobDedup coordinates concurrent sessions sharing one store so a
-	// missing job hash simulates at most once across all of them (the
-	// server wires one in automatically; standalone pipelines can too).
-	JobDedup = store.Dedup
-	// DedupStore is one session run's view of a JobDedup-guarded store.
-	DedupStore = store.DedupStore
 )
 
 // Plan lifecycle statuses reported by a Server.
@@ -50,9 +41,6 @@ const (
 // shared ground truth: rows recorded by CLIs are served warm, rows the
 // server simulates become visible to them.
 func NewServer(st Store, opts ServeOptions) *Server { return serve.New(st, opts) }
-
-// NewJobDedup returns an empty cross-session claim table for one store.
-func NewJobDedup() *JobDedup { return store.NewDedup() }
 
 // StorePlansDocument builds the plan-manifest audit listing (one row per
 // recorded plan with job count and row coverage) — the one builder
