@@ -79,8 +79,6 @@
 //   - internal/report: the analysis layer — every figure/table/bound
 //     rebuilt from recorded results as a typed Document, plus the
 //     text/HTML/JSON render backends
-//   - internal/figures: generation — expands generators, runs them,
-//     hands the records to internal/report
 //   - internal/serve: the bound-as-a-service HTTP layer over the store
 //     (plan submission, status, documents, Prometheus metrics)
 //
@@ -102,8 +100,8 @@
 //     between workers;
 //   - errors are deterministic: the lowest-indexed failing job wins.
 //
-// The batch CLIs (rrbus-figures, rrbus-derive, rrbus-bench) expose the
-// pool as -workers; -workers 1 recovers fully serial execution on the
+// The batch CLIs (rrbus-figures, rrbus-derive) expose the pool as
+// -workers; -workers 1 recovers fully serial execution on the
 // calling goroutine (rrbus-sim runs a single simulation, so it has no
 // batch to fan out). Derive fans its k-sweep out only when the Runner
 // declares itself safe for concurrent measurements (ConcurrentSafe, which
@@ -121,9 +119,9 @@
 // are charged in closed form, and a core that discovers a cache miss
 // while its bus port is free registers the request for its future ready
 // cycle ("deferred submission") rather than burning steps walking up to
-// it. rrbus-bench reports the resulting dead-time elimination as
-// cycles_per_step — simulated cycles per executed step, typically 5–9×
-// on the paper's workloads.
+// it. The benchmark's traced run (perfbench/run.sh --trace 1) reports
+// the resulting dead-time elimination as sim.cycles_per_step —
+// simulated cycles per executed step.
 //
 // The event core is exact, not approximate: grant traces, γ histograms,
 // PMC snapshots, per-core stall counters and every Measurement field
@@ -194,8 +192,9 @@
 // bounded observation budget then switches the detector off. Runs that
 // need exact per-event observation disable memoization automatically:
 // any TraceLimit or OnGrant/OnSubmit hook forces every event to
-// execute. rrbus-bench reports the effect as extrapolated_cycles /
-// periods_leapt / extrapolated_ratio next to cycles_per_step.
+// execute. The same traced run reports the effect as sim.leapt_ratio
+// (the share of simulated cycles leapt) and sim.periods_leapt next to
+// sim.cycles_per_step.
 //
 // # Scenarios, streaming and sharding
 //
@@ -226,9 +225,11 @@
 // it on a Fig. 7 sweep every push). rrbus-derive shards the same way:
 // its -merge mode reassembles the slowdown series from shard files and
 // runs the period detection (core.DeriveFromSeries) over the merged
-// measurements. rrbus-bench guards the performance trajectory of all of
-// this: -compare fails on a >10% simcycles/s regression against
-// BENCH_sim.json and -append accumulates a trend entry per PR.
+// measurements. CI's count gate (.github/perfbench-counts.py) guards the
+// work all of this does: it runs each benchmark workload at one seed and
+// fails when the rows, simulator steps, leaps, model events or store
+// operations differ from the committed golden, counts that repeat
+// exactly for a seed.
 //
 // # Results-first analysis: simulate once, analyze forever
 //
@@ -260,10 +261,12 @@
 // renderer consumes only records, rendering is replayable: rrbus-figures
 // and rrbus-derive accept -from <results.jsonl> and reproduce the live
 // run's output byte for byte without simulating (CI replays a recorded
-// sweep and cmp's the bytes every push). The in-process figures
-// (internal/figures, the -fig flags, the benchmarks) run through exactly
-// the same path — expand generator, record results, render — so the
-// live artifacts and the archived ones can never drift apart.
+// sweep and cmp's the bytes every push). The -fig flags and the figure
+// tests run through exactly the same path — expand generator, record
+// results, render — so the live artifacts and the archived ones can
+// never drift apart. The one exception is the headline summary table
+// (Summary, -fig table), whose derivation sweep auto-extends in-process;
+// internal/report only lays out its rows.
 //
 // # The results store: measure once, reuse everywhere
 //
@@ -335,12 +338,13 @@
 // every store error a Session reports names the job ID and the content
 // hash of the entry involved.
 //
-// All of it is testable under injected faults: FaultyStore wraps any
-// Store and deterministically injects transient errors, latency and
-// read-side corruption every Nth operation (counter-based, so a
-// schedule is reproducible); the chaos tests prove sweeps complete
-// byte-identical under faults, and rrbus-bench -faults runs the same
-// harness as a benchmark.
+// All of it is testable under injected faults: internal/store's Faulty
+// wraps any Store and deterministically injects transient errors,
+// latency and read-side corruption every Nth operation (counter-based,
+// so a schedule is reproducible); the chaos tests next to it prove
+// sweeps complete byte-identical under faults, one of them with every
+// fault kind at once under DefaultRetry, and internal/serve's tests do
+// the same for a local and a distribute-mode server.
 //
 // # Serving: the store over HTTP
 //
@@ -412,7 +416,10 @@
 // explicitly, requeueing at once), so a crash never strands a sweep.
 // Version skew is refused at the edge — a worker whose build hashes a
 // leased job differently declines it rather than record rows under
-// addresses the coordinator never asked for.
+// addresses the coordinator never asked for. The coordinator's own
+// store reads, the diff and the final read-back, retry transient errors
+// under ServeOptions.Retry as a session's do, and the plan status
+// counts them as Retried.
 //
 // Byte-identity survives distribution: a plan simulated by a
 // coordinator plus any number of workers — including workers killed

@@ -117,35 +117,3 @@ func MapN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	return out, nil
 }
-
-// Pair runs two independent jobs (typically a contended/isolation
-// measurement pair) concurrently under the default worker pool and
-// returns both results. Errors favor the first job, matching serial
-// order.
-func Pair[A, B any](fa func() (A, error), fb func() (B, error)) (A, B, error) {
-	if Workers() <= 1 || reserve(1) == 0 {
-		a, err := fa()
-		if err != nil {
-			var b B
-			return a, b, err
-		}
-		b, err := fb()
-		return a, b, err
-	}
-	defer active.Add(-1)
-	var (
-		b    B
-		errB error
-	)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		b, errB = fb()
-	}()
-	a, errA := fa()
-	<-done
-	if errA != nil {
-		return a, b, errA
-	}
-	return a, b, errB
-}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -122,27 +121,5 @@ func TestSetWorkers(t *testing.T) {
 	SetWorkers(0)
 	if w := Workers(); w < 1 {
 		t.Fatalf("Workers() = %d after reset, want >= 1", w)
-	}
-}
-
-func TestPair(t *testing.T) {
-	defer SetWorkers(0)
-	for _, workers := range []int{1, 4} {
-		SetWorkers(workers)
-		a, b, err := Pair(
-			func() (int, error) { return 11, nil },
-			func() (string, error) { return "x", nil },
-		)
-		if err != nil || a != 11 || b != "x" {
-			t.Fatalf("workers=%d: a=%d b=%q err=%v", workers, a, b, err)
-		}
-		wantErr := errors.New("first")
-		_, _, err = Pair(
-			func() (int, error) { return 0, wantErr },
-			func() (string, error) { return "", errors.New("second") },
-		)
-		if err == nil || err.Error() != "first" {
-			t.Fatalf("workers=%d: error priority: got %v, want first", workers, err)
-		}
 	}
 }

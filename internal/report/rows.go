@@ -2,21 +2,9 @@ package report
 
 import (
 	"fmt"
-	"strings"
 
 	"rrbus/internal/stats"
 )
-
-// blockText renders blocks with the text backend into a string — the
-// implementation behind the legacy per-figure string helpers, so there
-// is exactly one source of truth for the terminal format.
-func blockText(blks ...Block) string {
-	var b strings.Builder
-	for _, blk := range blks {
-		renderBlockText(&b, blk)
-	}
-	return b.String()
-}
 
 // GammaRow is one δ→γ pair with the simulator measurement and the Eq. 2
 // prediction (Figs. 3 and 4).
@@ -46,9 +34,6 @@ func gammaTable(rows []GammaRow) Table {
 	}
 	return t
 }
-
-// RenderGammaRows formats GammaRow tables.
-func RenderGammaRows(rows []GammaRow) string { return blockText(gammaTable(rows)) }
 
 // TimelineFig is one rendered bus timeline (Figs. 2 and 5): the scua's
 // steady-state request at injection time δ and the Gantt chart around it.
@@ -91,9 +76,6 @@ func (r *Fig6aData) table() Table {
 	return t
 }
 
-// Render formats the Fig. 6(a) histograms side by side.
-func (r *Fig6aData) Render() string { return blockText(r.table()) }
-
 // Fig6bData is the Fig. 6(b) contention-delay histogram for one
 // architecture.
 type Fig6bData struct {
@@ -109,8 +91,7 @@ type Fig6bData struct {
 	// ActualUBD is Eq. 1 ground truth.
 	ActualUBD int
 	// SimCycles is the full simulated length of the run (warmup +
-	// measurement window), used by the throughput benchmarks to report
-	// simcycles/s against the run's wall time.
+	// measurement window); the histogram block carries it.
 	SimCycles uint64
 	// counts is the dense γ histogram the block encoding carries.
 	counts []uint64
@@ -138,9 +119,6 @@ func (r Fig6bData) histogram() Histogram {
 		Counts:    counts,
 	}
 }
-
-// Render formats one Fig. 6(b) histogram.
-func (r Fig6bData) Render() string { return blockText(r.histogram()) }
 
 // SweepPoint is one k of a Fig. 7 sweep.
 type SweepPoint struct {
@@ -184,9 +162,6 @@ func sweepSeries(pts []SweepPoint) Series {
 	return s
 }
 
-// RenderSweep formats one slowdown sweep as an aligned column with bars.
-func RenderSweep(pts []SweepPoint) string { return blockText(sweepSeries(pts)) }
-
 // Fig7aData is the Fig. 7(a) pair of load sweeps.
 type Fig7aData struct {
 	Ref, Var []SweepPoint
@@ -216,9 +191,6 @@ func (r *Fig7aData) series() Series {
 	}
 	return s
 }
-
-// Render formats the two sweeps as aligned columns with a bar for ref.
-func (r *Fig7aData) Render() string { return blockText(r.series()) }
 
 // Fig7bData is the Fig. 7(b) store sweep.
 type Fig7bData struct {
@@ -250,9 +222,6 @@ func (r *Fig7bData) series() Series {
 	}
 	return s
 }
-
-// Render formats the store sweep.
-func (r *Fig7bData) Render() string { return blockText(r.series()) }
 
 // ArbiterRow reports how the methodology behaves under one arbitration
 // policy — the E9a ablation: the Eq. 3 period→ubd mapping is specific to
@@ -295,9 +264,6 @@ func arbitersTable(rows []ArbiterRow) Table {
 	return t
 }
 
-// RenderArbiters formats the arbiter ablation.
-func RenderArbiters(rows []ArbiterRow) string { return blockText(arbitersTable(rows)) }
-
 // DeltaNopRow reports the E9b ablation: platforms where a nop costs more
 // than one cycle sample the saw-tooth sparsely; period-based reading
 // aliases, the model fit does not.
@@ -337,9 +303,6 @@ func deltaNopTable(rows []DeltaNopRow) Table {
 	return t
 }
 
-// RenderDeltaNop formats the δnop ablation.
-func RenderDeltaNop(rows []DeltaNopRow) string { return blockText(deltaNopTable(rows)) }
-
 // ScalingRow reports the E9c ablation: the methodology recovers Eq. 1
 // across platform geometries.
 type ScalingRow struct {
@@ -374,6 +337,3 @@ func scalingTable(rows []ScalingRow) Table {
 	}
 	return t
 }
-
-// RenderScaling formats the scaling ablation.
-func RenderScaling(rows []ScalingRow) string { return blockText(scalingTable(rows)) }

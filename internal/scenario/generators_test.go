@@ -5,7 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"rrbus/internal/figures"
+	"rrbus/internal/analytic"
+	"rrbus/internal/core"
 	"rrbus/internal/isa"
 	"rrbus/internal/scenario"
 	"rrbus/internal/sim"
@@ -47,15 +48,55 @@ func TestGeneratorExpansionDeterministic(t *testing.T) {
 	}
 }
 
-func TestFig7GeneratorMatchesSweep(t *testing.T) {
-	// The declarative fig7 jobs must reproduce figures.Sweep exactly:
-	// same kernels, same protocol, same slowdown numbers.
-	cfg := sim.Toy()
-	const kmax, iters = 6, 20
-	pts, err := figures.Sweep(cfg, isa.OpLoad, kmax, iters)
+// sweepPoint is one k of the in-process reference sweep.
+type sweepPoint struct {
+	slowdown    int64
+	utilization float64
+}
+
+// sweep is the in-process reference the fig7 generator is checked
+// against: the rsk-nop(t, k) slowdown for k = 1..kmax with iters measured
+// iterations per run, measured directly on a core.SimRunner rather than
+// through scenario jobs.
+func sweep(t *testing.T, cfg sim.Config, typ isa.Op, kmax int, iters uint64) []sweepPoint {
+	t.Helper()
+	r, err := core.NewSimRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.Iters = iters
+	pts := make([]sweepPoint, kmax)
+	for k := 1; k <= kmax; k++ {
+		cont, err := r.RunContended(typ, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		isol, err := r.RunIsolation(typ, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[k-1] = sweepPoint{int64(cont.Cycles) - int64(isol.Cycles), cont.Utilization}
+	}
+	return pts
+}
+
+func TestSweepMatchesAnalyticAmplitude(t *testing.T) {
+	// One point cross-check: at k=1 on ref the sweep runner uses a
+	// fixed unroll of 2, so each iteration issues 9 inner requests at
+	// γ(δ=2) plus one loop-boundary request at γ(δ=3).
+	pts := sweep(t, sim.NGMPRef(), isa.OpLoad, 1, 10)
+	wantPerIter := analytic.SlowdownPerIteration(9, 2, 3, 27)
+	if got := pts[0].slowdown; got != int64(wantPerIter*10) {
+		t.Errorf("slowdown = %d, analytic model says %d", got, wantPerIter*10)
+	}
+}
+
+func TestFig7GeneratorMatchesSweep(t *testing.T) {
+	// The declarative fig7 jobs must reproduce the in-process sweep
+	// exactly: same kernels, same protocol, same slowdown numbers.
+	cfg := sim.Toy()
+	const kmax, iters = 6, 20
+	pts := sweep(t, cfg, isa.OpLoad, kmax, iters)
 	jobs := expand(t, "fig7", scenario.Params{"arch": "toy", "kmax": float64(kmax), "iters": float64(iters)})
 	if len(jobs) != kmax {
 		t.Fatalf("%d jobs for kmax=%d", len(jobs), kmax)
@@ -65,11 +106,11 @@ func TestFig7GeneratorMatchesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range results {
-		if r.Slowdown != pts[i].Slowdown {
-			t.Errorf("k=%d: scenario slowdown %d != sweep slowdown %d", i+1, r.Slowdown, pts[i].Slowdown)
+		if r.Slowdown != pts[i].slowdown {
+			t.Errorf("k=%d: scenario slowdown %d != sweep slowdown %d", i+1, r.Slowdown, pts[i].slowdown)
 		}
-		if r.Utilization != pts[i].Utilization {
-			t.Errorf("k=%d: scenario utilization %v != sweep %v", i+1, r.Utilization, pts[i].Utilization)
+		if r.Utilization != pts[i].utilization {
+			t.Errorf("k=%d: scenario utilization %v != sweep %v", i+1, r.Utilization, pts[i].utilization)
 		}
 	}
 }

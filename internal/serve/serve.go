@@ -129,11 +129,12 @@ type planState struct {
 	err     string
 	// Coordinator-mode runs have no session; the diff pass records how
 	// many rows the store already held (and how many corrupt entries it
-	// quarantined for the fleet to re-derive), and the queue tracks the
-	// rest per plan hash.
+	// quarantined for the fleet to re-derive), the store reads count
+	// their retries, and the queue tracks the rest per plan hash.
 	distributed     bool
 	distHits        int64
 	distQuarantined int64
+	distRetried     int64
 }
 
 // Server is the HTTP handler. Create with New, serve with http.Server,
@@ -313,7 +314,7 @@ func (s *Server) register(c *scenario.Compiled) *planState {
 		// plays in local mode.
 		ps.distributed = true
 		ps.sess, ps.view = nil, nil
-		ps.distHits, ps.distQuarantined = 0, 0
+		ps.distHits, ps.distQuarantined, ps.distRetried = 0, 0, 0
 	} else {
 		view := s.dedup.Wrap(s.st)
 		ps.sess = &store.Session{Store: view, Workers: s.opts.Workers, Retry: s.opts.Retry}
@@ -419,6 +420,7 @@ func (s *Server) statusLocked(ps *planState) PlanStatus {
 		st.Simulated = pc.Ingested
 		st.StoreHits = ps.distHits
 		st.Quarantined = ps.distQuarantined
+		st.Retried = ps.distRetried
 	}
 	st.Present = int(st.Simulated + st.StoreHits)
 	if st.Present > st.Jobs {
@@ -679,6 +681,7 @@ func (s *Server) Drain() DrainSummary {
 			ps.mu.Lock()
 			sum.StoreHits += ps.distHits
 			sum.Quarantined += ps.distQuarantined
+			sum.Retried += ps.distRetried
 			ps.mu.Unlock()
 		}
 	}

@@ -565,6 +565,43 @@ func TestServeFaulty(t *testing.T) {
 	}
 }
 
+// TestServeFaultyDistributed is TestServeFaulty's retry half in
+// distribute mode: with every row warm the coordinator's store diff and
+// read-back are the whole run, and both must retry transient errors
+// under Options.Retry as a local session does, then report the retries.
+func TestServeFaultyDistributed(t *testing.T) {
+	c := compileBody(t, fig7Body)
+	mem := store.NewMem()
+	results, err := (&store.Session{Store: mem}).RunAll(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cliRender(t, c, results, "text")
+	srv := serve.New(&store.Faulty{Under: mem, EveryGet: 3}, serve.Options{
+		Distribute: true,
+		Retry:      store.RetryPolicy{Max: 3, BaseDelay: time.Millisecond},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Drain()
+
+	postPlan(t, ts.URL, fig7Body)
+	st := waitStatus(t, ts.URL, c.Hash())
+	if st.Status != serve.StatusComplete {
+		t.Fatalf("warm distributed run over a faulty store ended %q (err %q)", st.Status, st.Err)
+	}
+	if st.Retried == 0 {
+		t.Error("no retries reported against an EveryGet-faulty store")
+	}
+	if st.StoreHits != int64(len(c.Jobs)) || st.Simulated != 0 {
+		t.Errorf("warm distributed run: hits=%d simulated=%d, want %d and 0", st.StoreHits, st.Simulated, len(c.Jobs))
+	}
+	got, _ := getDoc(t, ts.URL, c.Hash(), "text")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("faulty distributed doc differs from clean render:\n%s", got)
+	}
+}
+
 // TestServeDrain pins the graceful-shutdown contract: draining skips
 // queued plans, interrupts the running one, reports both, and further
 // submissions are refused.

@@ -174,9 +174,10 @@ func (s *Server) handleStoreFetch(w http.ResponseWriter, r *http.Request) {
 // diff the plan against the store (quarantining corrupt rows so the
 // fleet re-derives them — heal by distribution), enqueue the missing
 // jobs and wait for workers to fill them, then read the complete row
-// set back in job order. The rendered document is byte-identical to a
-// single-process run because both read the same rows from the same
-// store.
+// set back in job order. Every store read retries transient errors
+// under Options.Retry, as a local session's do. The rendered document
+// is byte-identical to a single-process run because both read the same
+// rows from the same store.
 func (s *Server) runDistributed(ps *planState) ([]scenario.Result, error) {
 	c := ps.plan
 	if pr, ok := s.st.(store.PlanRecorder); ok {
@@ -184,12 +185,22 @@ func (s *Server) runDistributed(ps *planState) ([]scenario.Result, error) {
 			return nil, err
 		}
 	}
+	get := func(h string) (r scenario.Result, ok bool, err error) {
+		n, err := s.opts.Retry.Do(s.ctx, h, func() (err error) {
+			r, ok, err = s.st.Get(h)
+			return err
+		})
+		ps.mu.Lock()
+		ps.distRetried += n
+		ps.mu.Unlock()
+		return r, ok, err
+	}
 	hashes := c.JobHashes()
 	quarantiner, canHeal := s.st.(store.Quarantiner)
 	var missing []dist.JobSpec
 	var hits, quarantined int64
 	for i, h := range hashes {
-		_, ok, err := s.st.Get(h)
+		_, ok, err := get(h)
 		if err != nil && canHeal && store.IsCorrupt(err) {
 			if qerr := quarantiner.Quarantine(h, err.Error()); qerr != nil {
 				return nil, fmt.Errorf("job %q (hash %s): quarantine: %w", c.Jobs[i].ID, h, qerr)
@@ -215,7 +226,7 @@ func (s *Server) runDistributed(ps *planState) ([]scenario.Result, error) {
 	}
 	results := make([]scenario.Result, len(c.Jobs))
 	for i, h := range hashes {
-		r, ok, err := s.st.Get(h)
+		r, ok, err := get(h)
 		if err != nil {
 			return nil, fmt.Errorf("job %q (hash %s): %w", c.Jobs[i].ID, h, err)
 		}

@@ -37,6 +37,18 @@ func TestNGMPRefMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestToyConfig pins the small platform of the paper's illustrative
+// figures (Figs. 2, 3, 5): 4 cores, lbus = 2, so ubd = 6.
+func TestToyConfig(t *testing.T) {
+	c := Toy()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if c.UBD() != 6 {
+		t.Errorf("toy ubd = %d, want 6 (Fig. 3)", c.UBD())
+	}
+}
+
 func TestNGMPVarRaisesL1Latency(t *testing.T) {
 	v := NGMPVar()
 	if v.DL1.Latency != 4 || v.IL1.Latency != 4 {

@@ -97,6 +97,33 @@ func TestChaosCorruptionHealsByteIdentical(t *testing.T) {
 	if got := len(st.QuarantinedRows()); int64(got) != injected {
 		t.Errorf("store records %d quarantined rows, want %d", got, injected)
 	}
+
+	// Every fault kind at once — transient Get and Put failures,
+	// corruption and latency — under the CLIs' retry policy
+	// (rrbus.DefaultRetry): the retries absorb the transient faults while
+	// the healing re-simulates the corrupt rows and records them again.
+	t.Run("mixed", func(t *testing.T) {
+		st, clean := fillMem(t, 40)
+		f := &store.Faulty{Under: st, EveryGet: 5, EveryPut: 3, EveryCorrupt: 7, Latency: 100 * time.Microsecond}
+		sess := &store.Session{Store: f, Retry: store.RetryPolicy{Max: 3, BaseDelay: 25 * time.Millisecond}}
+		var buf bytes.Buffer
+		sinkTo(t, sess, compileFig7(t, 40), &buf)
+		if !bytes.Equal(buf.Bytes(), clean) {
+			t.Error("output under mixed faults differs from the clean run")
+		}
+		if sess.Quarantined() == 0 || sess.Quarantined() != sess.Repaired() {
+			t.Errorf("quarantined %d / repaired %d, want equal and > 0", sess.Quarantined(), sess.Repaired())
+		}
+		if sess.Retried() == 0 {
+			t.Error("no retries recorded despite injected transient faults")
+		}
+		fs := f.Stats()
+		if fs.Puts < f.EveryPut {
+			t.Errorf("%d Puts never reached the every-%d Put fault", fs.Puts, f.EveryPut)
+		}
+		t.Logf("injected %d faults over %d Gets and %d Puts; retried %d, healed %d",
+			fs.Injected, fs.Gets, fs.Puts, sess.Retried(), sess.Repaired())
+	})
 }
 
 // TestChaosRetryExhaustion checks that a fault the policy cannot absorb

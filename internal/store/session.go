@@ -98,21 +98,32 @@ func (p RetryPolicy) delay(key string, attempt int) time.Duration {
 	return d + time.Duration(jitter)
 }
 
-// retry runs op, retrying transient failures per the policy. The backoff
-// sleep respects ctx; any non-transient error (including ctx.Err()
-// surfaced by op) returns immediately.
-func (s *Session) retry(ctx context.Context, key string, op func() error) error {
-	err := op()
-	for attempt := 1; attempt <= s.Retry.Max && IsTransient(err); attempt++ {
-		t := time.NewTimer(s.Retry.delay(key, attempt))
+// Do runs op, retrying transient failures per the policy, and returns
+// op's last error with the number of retries made. key identifies the
+// operation (a job hash) and seeds the jitter. The backoff sleep
+// respects ctx; any non-transient error (including ctx.Err() surfaced by
+// op) returns immediately.
+func (p RetryPolicy) Do(ctx context.Context, key string, op func() error) (retries int64, err error) {
+	err = op()
+	for attempt := 1; attempt <= p.Max && IsTransient(err); attempt++ {
+		t := time.NewTimer(p.delay(key, attempt))
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return err
+			return retries, err
 		case <-t.C:
 		}
-		s.retried.Add(1)
+		retries++
 		err = op()
+	}
+	return retries, err
+}
+
+// retry runs op under the session's policy and counts its retries.
+func (s *Session) retry(ctx context.Context, key string, op func() error) error {
+	n, err := s.Retry.Do(ctx, key, op)
+	if n > 0 {
+		s.retried.Add(n)
 	}
 	return err
 }

@@ -25,7 +25,6 @@ import (
 
 	"rrbus/internal/core"
 	"rrbus/internal/exp"
-	"rrbus/internal/figures"
 	"rrbus/internal/report"
 	"rrbus/internal/scenario"
 	"rrbus/internal/sim"
@@ -122,15 +121,10 @@ type (
 	// derivation reports per-method estimates for.
 	PeriodMethod = core.PeriodMethod
 	// SummaryRow is one line of the headline derived-vs-naive table.
-	SummaryRow = figures.SummaryRow
+	SummaryRow = report.SummaryRow
 	// Histogram is a value→count distribution with rendering helpers.
 	Histogram = stats.Hist
 )
-
-// ResultSchema is the version of the Result row format this build reads
-// and writes (rows from older archives, including unversioned ones, stay
-// readable; rows from newer builds are rejected instead of mis-rendered).
-const ResultSchema = scenario.ResultSchema
 
 // LoadPlan loads a scenario file and compiles it into a
 // content-addressed plan.
@@ -294,16 +288,40 @@ func ImportResults(st Store, p *Plan, results []Result) error {
 
 // Summary derives ubd on each configuration with both the methodology
 // (auto-extending in-process sweep) and the naive baseline — the
-// headline table.
-func Summary(cfgs ...Config) ([]SummaryRow, error) { return figures.Summary(cfgs...) }
+// headline table. It uses load kernels: the store path is exercised by
+// Fig. 7(b), whose slowdown is flat beyond one tooth, so no period
+// exists to detect — exactly the paper's argument for using loads. The
+// configurations derive concurrently on the experiment engine's pool.
+func Summary(cfgs ...Config) ([]SummaryRow, error) {
+	return exp.Map(len(cfgs), func(i int) (SummaryRow, error) {
+		cfg := cfgs[i]
+		r, err := core.NewSimRunner(cfg)
+		if err != nil {
+			return SummaryRow{}, err
+		}
+		row := SummaryRow{Arch: cfg.Name, Type: "load", ActualUBD: cfg.UBD()}
+		res, err := core.Derive(r, core.Options{Type: OpLoad, AutoExtend: true})
+		if err != nil {
+			row.Err = err.Error()
+		}
+		if res != nil {
+			row.DerivedUBDm = res.UBDm
+			row.PeriodK = res.PeriodK
+			row.DeltaNop = res.DeltaNop
+			row.Confidence = res.Confidence.Score()
+		}
+		nv, err := core.NaiveUBDM(r, OpLoad)
+		if err != nil {
+			return SummaryRow{}, err
+		}
+		row.NaiveUBDm = nv.UBDm
+		return row, nil
+	})
+}
 
 // SummaryDocument builds the headline table as a complete document
 // (heading included), renderable through any backend.
-func SummaryDocument(rows []SummaryRow) *Document { return figures.SummaryDocument(rows) }
-
-// DocumentSchema is the version of the JSON document encoding this
-// build reads and writes (DecodeDocument rejects newer ones).
-const DocumentSchema = report.DocumentSchema
+func SummaryDocument(rows []SummaryRow) *Document { return report.SummaryDocument(rows) }
 
 // StringV wraps a string cell.
 func StringV(v string) Value { return report.StringV(v) }

@@ -2,10 +2,10 @@ package rrbus
 
 // The resilience surface of the pipeline: cooperative cancellation,
 // retry policies for transient store failures, quarantine-and-resimulate
-// self-healing for corrupt store entries, store-wide repair, and the
-// deterministic fault-injection harness the chaos tests (and
-// rrbus-bench -faults) drive. See the "Resilience" section of doc.go for
-// the contract.
+// self-healing for corrupt store entries, and store-wide repair. The
+// deterministic fault injection that proves it (store.Faulty) stays
+// inside internal/store, next to the chaos tests that drive it. See the
+// "Resilience" section of doc.go for the contract.
 
 import (
 	"context"
@@ -36,11 +36,6 @@ type (
 	// RepairReport is the outcome of DirStore.Repair (rrbus-store
 	// repair).
 	RepairReport = store.RepairReport
-	// FaultyStore wraps a Store and injects deterministic faults —
-	// transient errors, corrupt reads, latency — for chaos testing.
-	FaultyStore = store.Faulty
-	// FaultStats snapshots the operations a FaultyStore saw.
-	FaultStats = store.FaultStats
 )
 
 // DefaultRetry is the retry policy the CLIs run with: a handful of
