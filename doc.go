@@ -139,10 +139,10 @@
 // threshold. Express run-until conditions in simulated state (iterations
 // retired, a counter reaching a value) and pass cycle limits as
 // maxCycles; internal/sim's tests turn on a per-System predicate check
-// that makes the footgun panic. Runs of consecutive same-latency
-// instructions that cannot touch the bus (nops, IALU and branch
-// stretches) execute as one batched step so the jumps compound; the
-// equivalence tests cover the batching too.
+// that makes the footgun panic. Runs of instructions that cannot touch
+// the bus (nops, IALUs of any latency and branches) on one fetch line
+// execute as one batched step so the jumps compound; the equivalence
+// tests cover the batching too.
 //
 // # Engine modes
 //
@@ -173,9 +173,10 @@
 // deterministic simulator that revisits a state must replay it, so the
 // extrapolated span is exactly what execution would have produced. The
 // three-way equivalence suite diffs full Measurements (γ and contender
-// histograms and PMCs included) across all modes, and CI records two
+// histograms and PMCs included) across all modes, and CI records three
 // scenarios in all three — one of them an isolation-paired job with an
-// idle core — and compares the JSONL bytes.
+// idle core, one with EEMBC-like contenders whose cores issue
+// mixed-latency instruction batches — and compares the JSONL bytes.
 //
 // The fingerprint deliberately leaves out what no future step reads: a
 // finished core's next-free cycle, the markers of an instruction batch

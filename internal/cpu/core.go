@@ -140,21 +140,23 @@ type Core struct {
 
 	sb *StoreBuffer
 
-	// noBatch disables instruction-run batching (nop, IALU and branch
-	// runs), forcing one instruction per Tick — the pre-batching
+	// noBatch disables instruction-run batching (runs of non-memory
+	// instructions), forcing one instruction per Tick — the pre-batching
 	// reference behavior the simulator's equivalence tests compare
 	// against.
 	noBatch bool
-	// batchEnd is the cycle the most recent instruction batch finishes
-	// issuing (its nextFree); batchOp and batchLat record what kind of
-	// run it was and its uniform per-instruction latency. ResetCounters
-	// and Counters use them to split a mid-flight batch exactly across a
-	// measurement-window boundary. now is the cycle of the core's latest
-	// Tick, the read point those splits are computed against.
-	batchEnd uint64
-	batchOp  isa.Op
-	batchLat uint64
-	now      uint64
+	// batchPC and batchStart are the pc of the most recent instruction
+	// batch's first instruction and the cycle it issued; batchEnd is the
+	// cycle the batch finishes issuing (its nextFree). The batch spans
+	// [batchPC, pc) of the current sequence while it is in flight, so
+	// Counters and ResetCounters re-walk it (batchTail) to split it
+	// exactly across a measurement-window boundary. now is the cycle of
+	// the core's latest Tick, the read point those splits are computed
+	// against.
+	batchEnd   uint64
+	batchStart uint64
+	batchPC    int
+	now        uint64
 
 	// stallKind/stallFrom implement closed-form stall accounting for the
 	// event-driven scheduler: a blocked attempt charges the whole span of
@@ -218,45 +220,78 @@ func (c *Core) Done() bool { return c.done }
 func (c *Core) Iters() uint64 { return c.ctr.Iters }
 
 // Counters returns a copy of the per-core counters as of the core's
-// latest executed cycle. An instruction batch (a nop, IALU or branch
-// run) pre-commits its whole run's op count and Instrs; the share of the
-// batch that serially would issue after that cycle is subtracted, so
-// readers observe exactly the one-instruction-per-Tick counts.
+// latest executed cycle. An instruction batch (a run of non-memory
+// instructions) pre-commits its whole run's op counts and Instrs; the
+// instructions of the batch that serially would issue after that cycle
+// are subtracted, so readers observe exactly the
+// one-instruction-per-Tick counts.
 func (c *Core) Counters() Counters {
 	ctr := c.ctr
 	if c.now < c.batchEnd {
-		notYetIssued := (c.batchEnd - c.now - 1) / c.batchLat
-		c.creditBatch(&ctr, notYetIssued, true)
+		c.batchTail(&ctr, c.now+1, ^uint64(0))
 	}
 	return ctr
 }
 
-// opField returns the counter field a batchable opcode commits to — the
-// single source of the op→counter mapping used both when a batch is
-// issued and when a mid-flight batch is split at a window boundary.
-func opField(ctr *Counters, op isa.Op) *uint64 {
-	switch op {
-	case isa.OpIALU:
-		return &ctr.ALUs
-	case isa.OpBranch:
-		return &ctr.Branches
-	default:
-		return &ctr.Nops
-	}
+// runTally sums a run of non-memory instructions: the cycles they take
+// to issue back to back and how many of each kind they commit. It is the
+// single source of the opcode→latency and opcode→counter mappings, used
+// both when a batch is issued and when a mid-flight batch is split at a
+// window boundary.
+type runTally struct {
+	cycles, nops, alus, branches uint64
 }
 
-// creditBatch adjusts the batched op's counter and Instrs by n:
-// subtracting (sub) for not-yet-issued reads, adding for post-reset
-// re-credits.
-func (c *Core) creditBatch(ctr *Counters, n uint64, sub bool) {
-	field := opField(ctr, c.batchOp)
-	if sub {
-		*field -= n
-		ctr.Instrs -= n
-	} else {
-		*field += n
-		ctr.Instrs += n
+// add returns t with in tallied when in is a non-memory instruction, and
+// reports whether it was; a memory instruction ends a run and leaves t
+// as it is. Tallies pass by value so a run's sums stay in registers.
+func (c *Core) add(t runTally, in isa.Instr) (runTally, bool) {
+	switch in.Op {
+	case isa.OpNop:
+		t.cycles += uint64(c.cfg.NopLatency)
+		t.nops++
+	case isa.OpIALU:
+		if in.Lat > 0 {
+			t.cycles += uint64(in.Lat)
+		} else {
+			t.cycles += uint64(c.cfg.IntLatency)
+		}
+		t.alus++
+	case isa.OpBranch:
+		t.cycles += uint64(c.cfg.BranchLatency)
+		t.branches++
+	default:
+		return t, false
 	}
+	return t, true
+}
+
+// commit adds d times the tallied op counts to ctr, leaving Instrs to
+// the caller.
+func (t runTally) commit(ctr *Counters, d uint64) {
+	ctr.Nops += t.nops * d
+	ctr.ALUs += t.alus * d
+	ctr.Branches += t.branches * d
+}
+
+// batchTail adds d to the op counter and Instrs of every instruction of
+// the in-flight batch that issues at or after cycle from: d = 1
+// re-credits them to a new window, d = ^uint64(0) (minus one) takes back
+// those a reader must not see yet. It re-walks the batch from batchPC and
+// batchStart, at most one fetch line of instructions: those issuing
+// before from go to head, whose cycles give the next one's issue cycle,
+// and the rest to tail.
+func (c *Core) batchTail(ctr *Counters, from, d uint64) {
+	var head, tail runTally
+	for _, in := range c.seq()[c.batchPC:c.pc] {
+		if c.batchStart+head.cycles < from {
+			head, _ = c.add(head, in)
+		} else {
+			tail, _ = c.add(tail, in)
+		}
+	}
+	tail.commit(ctr, d)
+	ctr.Instrs += (tail.nops + tail.alus + tail.branches) * d
 }
 
 // StoreBuffer exposes the core's store buffer (read-mostly; tests and PMC
@@ -268,7 +303,7 @@ func (c *Core) StoreBuffer() *StoreBuffer { return c.sb }
 // preserved so the harness can count iterations across the reset; callers
 // should snapshot and subtract).
 //
-// An instruction batch commits its whole run's op count and Instrs at
+// An instruction batch commits its whole run's op counts and Instrs at
 // batch start, so if the reset lands mid-batch the instructions that
 // serially would issue at or after the reset cycle are re-credited to
 // the new window — keeping the counters bit-identical to
@@ -277,8 +312,7 @@ func (c *Core) ResetCounters(cycle uint64) {
 	iters := c.ctr.Iters
 	c.ctr = Counters{Iters: iters}
 	if cycle < c.batchEnd {
-		remaining := (c.batchEnd - cycle) / c.batchLat
-		c.creditBatch(&c.ctr, remaining, false)
+		c.batchTail(&c.ctr, cycle, 1)
 	}
 	c.sb.Pushes, c.sb.FullStalls, c.sb.Drains = 0, 0, 0
 	// A reset landing inside an open stall span discards the uncharged
@@ -290,10 +324,11 @@ func (c *Core) ResetCounters(cycle uint64) {
 }
 
 // SetNopBatching toggles instruction-run batching and the deferred-issue
-// shortcut together (both enabled by default): runs of consecutive nops,
-// and of IALU or branch instructions with a uniform latency, execute as
-// one batched step, and miss requests whose issue step is fully
-// determined are registered at the bus ahead of time (Port.SubmitAt).
+// shortcut together (both enabled by default): runs of non-memory
+// instructions (nops, IALUs of any latency, branches) on one fetch line
+// execute as one batched step, and miss requests whose issue step is
+// fully determined are registered at the bus ahead of time
+// (Port.SubmitAt).
 // Disabling both restores strict one-instruction-per-Tick execution with
 // every submission performed at its issue step; externally observable
 // behavior (bus traffic and its Ready cycles, iteration boundaries,
@@ -307,11 +342,13 @@ func (c *Core) Idle() bool {
 	return c.st == sDone && c.sb.Empty()
 }
 
-func (c *Core) cur() isa.Instr {
+// seq returns the instruction sequence pc indexes: the setup sequence
+// until it completes, the body afterwards.
+func (c *Core) seq() []isa.Instr {
 	if c.inSetup {
-		return c.prog.Setup[c.pc]
+		return c.prog.Setup
 	}
-	return c.prog.Body[c.pc]
+	return c.prog.Body
 }
 
 func (c *Core) curAddr() uint64 {
@@ -523,31 +560,10 @@ func (c *Core) step(cycle uint64) bool {
 		c.haveFetch = true
 	}
 
-	in := c.cur()
+	in := c.seq()[c.pc]
 	switch in.Op {
-	case isa.OpNop:
-		// Execute the whole run of consecutive nops that shares the
-		// current fetch line in one step. Those nops cannot miss IL1 or
-		// touch the bus, and the run never includes the sequence's last
-		// instruction (so no iteration boundary is crossed), making the
-		// batch cycle-exact: the next instruction starts at the same
-		// cycle as under 1-nop-per-Tick execution. Batching matters for
-		// the idle-cycle fast path — a core chewing nops one Tick at a
-		// time would otherwise pin the platform clock to 1-cycle steps
-		// for the entire rsk-nop injection interval.
-		c.execRun(cycle, in, uint64(c.cfg.NopLatency))
-	case isa.OpIALU:
-		// IALU runs batch like nop runs (uniform in.Lat only, so the
-		// mid-batch counter splits stay exact). Compute-dominated EEMBC
-		// profiles are long stretches of same-latency ALU work, which
-		// the idle-cycle fast path can then skip across.
-		lat := uint64(c.cfg.IntLatency)
-		if in.Lat > 0 {
-			lat = uint64(in.Lat)
-		}
-		c.execRun(cycle, in, lat)
-	case isa.OpBranch:
-		c.execRun(cycle, in, uint64(c.cfg.BranchLatency))
+	case isa.OpNop, isa.OpIALU, isa.OpBranch:
+		c.execRun(cycle, addr)
 	case isa.OpLoad:
 		c.ctr.Loads++
 		res := c.cfg.DL1.Access(in.Addr, false, c.cfg.ID)
@@ -589,53 +605,50 @@ func (c *Core) step(cycle uint64) bool {
 	return true
 }
 
-// execRun executes the run of instructions identical to in (same opcode
-// and explicit latency) that starts at pc as one batched step: the
-// op's counter field and Instrs are pre-committed for the whole run, pc
-// jumps over it, and batchEnd/batchOp/batchLat let the counter readers
-// split a mid-flight batch exactly. A single-instruction run degenerates
-// to the historical scalar path (advance handles setup/body transitions
-// and iteration boundaries, which a batch never crosses).
-func (c *Core) execRun(cycle uint64, in isa.Instr, lat uint64) {
-	n := 1
+// execRun executes the run of non-memory instructions (nops, IALUs of
+// any latency, branches) that starts at pc, fetched from addr, as one
+// batched step. Those instructions cannot miss IL1 or touch the bus as
+// long as the run stays on the current fetch line, and the run never
+// takes the sequence's last instruction (so the scalar path keeps
+// handling setup→body and iteration boundaries), which makes the batch
+// cycle-exact: the next instruction starts at the same cycle as under
+// one-instruction-per-Tick execution. nextFree advances by the sum of
+// the run's latencies, its op counters and Instrs are pre-committed, pc
+// jumps over it, and batchPC/batchStart/batchEnd let the counter readers
+// split a mid-flight batch exactly. Batching is what lets the event
+// engine skip across compute: a core chewing nops or ALU work one Tick at
+// a time would pin the platform clock to its issue cycles. A
+// single-instruction run degenerates to the historical scalar path
+// (advance handles setup/body transitions and iteration boundaries).
+func (c *Core) execRun(cycle, addr uint64) {
+	run := c.seq()[c.pc:]
+	limit := 1
 	if !c.noBatch {
-		n = c.runLen(in)
+		lineBytes := ^c.lineMask + 1
+		left := int((c.fetchLine + lineBytes - addr) / isa.InstrBytes)
+		limit = max(1, min(left, len(run)-1))
 	}
-	*opField(&c.ctr, in.Op) += uint64(n)
-	c.nextFree = cycle + uint64(n)*lat
+	// step dispatches here on a non-memory opcode, so n ends >= 1.
+	var t runTally
+	n := 0
+	for _, in := range run[:limit] {
+		var ok bool
+		if t, ok = c.add(t, in); !ok {
+			break
+		}
+		n++
+	}
+	t.commit(&c.ctr, 1)
+	c.nextFree = cycle + t.cycles
 	if n == 1 {
 		c.advance()
 		return
 	}
 	c.ctr.Instrs += uint64(n)
-	c.pc += n
+	c.batchPC = c.pc
+	c.batchStart = cycle
 	c.batchEnd = c.nextFree
-	c.batchOp = in.Op
-	c.batchLat = lat
-}
-
-// runLen returns how many consecutive instructions identical to in (same
-// opcode, same explicit latency) starting at pc can be executed as one
-// batch: the run may not leave the current fetch line and may not
-// consume the sequence's last instruction, so the scalar path keeps
-// handling line crossings and loop wrap-around. The fetch address of pc
-// is derivable but passed implicitly via the fetch buffer: the run is
-// clamped to the instructions left on the current fetch line.
-func (c *Core) runLen(in isa.Instr) int {
-	seq := c.prog.Body
-	if c.inSetup {
-		seq = c.prog.Setup
-	}
-	max := len(seq) - c.pc - 1
-	lineBytes := ^c.lineMask + 1
-	if left := int((c.fetchLine + lineBytes - c.curAddr()) / isa.InstrBytes); left < max {
-		max = left
-	}
-	n := 1
-	for n < max && seq[c.pc+n].Op == in.Op && seq[c.pc+n].Lat == in.Lat {
-		n++
-	}
-	return n
+	c.pc += n
 }
 
 // tryDrain submits the store buffer head to the bus when the port is free

@@ -516,3 +516,153 @@ func TestNewValidations(t *testing.T) {
 		t.Error("invalid config must fail")
 	}
 }
+
+// drivenCore advances one core cycle by cycle over a fakePort that serves
+// instruction fetches the cycle after their ready cycle and loads lbus
+// (9) cycles after it. A batching core is ticked only when it is due — at
+// its registered wake or when a completion arrives — as the event engine
+// ticks it; the reference core (batching off) is ticked every cycle, as
+// the Oracle engine does. Either way the read point then moves to the
+// cycle, as the engine's SyncNow does when a run stops.
+type drivenCore struct {
+	c     *Core
+	p     *fakePort
+	wake  uint64
+	mixed int // batches issued holding more than one latency
+}
+
+func newDrivenCore(t *testing.T, prog *isa.Program, maxIters uint64, batching bool) *drivenCore {
+	t.Helper()
+	port := &fakePort{}
+	c, err := New(Config{
+		ID:               0,
+		DL1:              cache.MustNew(testCacheCfg("DL1")),
+		IL1:              cache.MustNew(testCacheCfg("IL1")),
+		DL1Latency:       2,
+		IL1Latency:       1,
+		NopLatency:       1,
+		IntLatency:       2,
+		BranchLatency:    3,
+		StoreBufferDepth: 2,
+	}, prog, port, maxIters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetNopBatching(batching)
+	return &drivenCore{c: c, p: port}
+}
+
+func (d *drivenCore) step(cycle uint64) {
+	due := d.c.noBatch || cycle >= d.wake
+	if r := d.p.pending; r != nil {
+		switch {
+		case r.Kind == bus.KindIFetch && cycle > r.Ready:
+			d.p.complete()
+			d.c.IFetchDone(cycle)
+			due = true
+		case r.Kind == bus.KindLoad && cycle >= r.Ready+9:
+			d.p.complete()
+			d.c.LoadDone(cycle)
+			due = true
+		}
+	}
+	if due {
+		d.c.Tick(cycle)
+		d.wake = d.c.NextEvent(cycle + 1)
+		if d.c.batchStart == cycle && cycle < d.c.batchEnd {
+			lat := func(in isa.Instr) uint64 {
+				t, _ := d.c.add(runTally{}, in)
+				return t.cycles
+			}
+			run := d.c.seq()[d.c.batchPC:d.c.pc]
+			for _, in := range run[1:] {
+				if lat(in) != lat(run[0]) {
+					d.mixed++
+					break
+				}
+			}
+		}
+	}
+	d.c.SyncNow(cycle)
+}
+
+// mixedProgram mixes nops, IALUs of latencies 0 (the core default) to 5
+// and branches with DL1-hit loads, behind a setup sequence whose loads
+// warm DL1. Setup is 10 instructions, so the body starts mid-line and
+// both sequences cross fetch lines inside runs of non-memory
+// instructions; a branch also sits mid-body.
+func mixedProgram() *isa.Program {
+	return &isa.Program{
+		Name: "mixed", CodeBase: 0x1000,
+		Setup: []isa.Instr{
+			isa.Load(0x40), isa.Load(0x80), isa.Nop(), isa.IALU(4), isa.Nop(),
+			isa.IALU(0), isa.IALU(2), isa.Nop(), isa.Nop(), isa.IALU(5),
+		},
+		Body: []isa.Instr{
+			isa.Nop(), isa.IALU(0), isa.IALU(1), isa.IALU(2), isa.Nop(), isa.IALU(3),
+			isa.IALU(4), isa.IALU(5), isa.Branch(), isa.Nop(), isa.Nop(), isa.Load(0x40),
+			isa.IALU(3), isa.IALU(0), isa.Nop(), isa.IALU(5), isa.Nop(), isa.IALU(1),
+			isa.Load(0x84), isa.IALU(2), isa.IALU(2), isa.Nop(), isa.IALU(4), isa.Branch(),
+			isa.IALU(0), isa.Nop(), isa.Nop(), isa.IALU(3), isa.Branch(),
+		},
+	}
+}
+
+// TestMixedBatchCountersMatchReference runs the mixed program batched and
+// one instruction per Tick and compares the counters at every cycle: a
+// batch pre-commits every opcode it holds, and Counters must take back
+// exactly the instructions that serially would issue after the read point.
+func TestMixedBatchCountersMatchReference(t *testing.T) {
+	prog := mixedProgram()
+	bat := newDrivenCore(t, prog, 6, true)
+	ref := newDrivenCore(t, prog, 6, false)
+	var cyc uint64
+	for ; cyc < 5000 && !(bat.c.Done() && ref.c.Done()); cyc++ {
+		bat.step(cyc)
+		ref.step(cyc)
+		if b, r := bat.c.Counters(), ref.c.Counters(); b != r {
+			t.Fatalf("cycle %d: batched counters %+v, reference %+v", cyc, b, r)
+		}
+		if bat.c.Done() != ref.c.Done() {
+			t.Fatalf("cycle %d: batched done=%v, reference done=%v", cyc, bat.c.Done(), ref.c.Done())
+		}
+	}
+	if !bat.c.Done() {
+		t.Fatalf("program did not finish in %d cycles", cyc)
+	}
+	if bat.mixed == 0 {
+		t.Fatal("no batch held more than one latency: the test exercises nothing")
+	}
+}
+
+// TestMixedBatchResetAtEveryOffset resets the counters at every cycle of
+// the mixed program's first 250 cycles, so resets land at each offset
+// inside its mixed batches (setup and body), and checks that the batched
+// core's re-credited window matches the reference's at every later cycle.
+func TestMixedBatchResetAtEveryOffset(t *testing.T) {
+	prog := mixedProgram()
+	midBatch := 0
+	for reset := uint64(1); reset < 250; reset++ {
+		bat := newDrivenCore(t, prog, 0, true)
+		ref := newDrivenCore(t, prog, 0, false)
+		for cyc := uint64(0); cyc < reset; cyc++ {
+			bat.step(cyc)
+			ref.step(cyc)
+		}
+		if reset < bat.c.batchEnd {
+			midBatch++
+		}
+		bat.c.ResetCounters(reset)
+		ref.c.ResetCounters(reset)
+		for cyc := reset; cyc < reset+120; cyc++ {
+			bat.step(cyc)
+			ref.step(cyc)
+			if b, r := bat.c.Counters(), ref.c.Counters(); b != r {
+				t.Fatalf("reset at %d, cycle %d: batched counters %+v, reference %+v", reset, cyc, b, r)
+			}
+		}
+	}
+	if midBatch < 50 {
+		t.Fatalf("only %d resets landed inside a batch", midBatch)
+	}
+}

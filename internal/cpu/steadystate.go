@@ -37,10 +37,11 @@ func (c *Core) DigestState(h *statehash.Hash, now uint64) {
 		h.Add(0)
 	}
 	if c.now < c.batchEnd {
+		// The read point and the batch's start pc and cycle fix the
+		// counter split (batchTail); batchEnd is nextFree, hashed above.
 		h.Add(now - c.now)
-		h.Add(c.batchEnd - now)
-		h.Add(uint64(c.batchOp))
-		h.Add(c.batchLat)
+		h.Add(now - c.batchStart)
+		h.Add(uint64(c.batchPC))
 	} else {
 		// The batch markers and the read point are stale: Counters reads
 		// them only while c.now < batchEnd, c.now only moves forward
@@ -74,6 +75,7 @@ func (c *Core) DigestState(h *statehash.Hash, now uint64) {
 func (c *Core) ShiftTime(d uint64) {
 	c.nextFree += d
 	c.batchEnd += d
+	c.batchStart += d
 	c.now += d
 	c.stallFrom += d
 }

@@ -630,8 +630,13 @@ func init() {
 					}
 					plat.WRRWeights = w
 				case "tdma":
-					// Slots from one transfer up to ~2 full transactions.
-					plat.TDMASlot = cfg.BusTransferLat + rng.Intn(2*cfg.BusLatency())
+					// Slots from one transfer up to ~2 full transactions,
+					// raised to one full transaction: a shorter slot can
+					// starve a port (sim.Config.Validate rejects it).
+					// Raising, not redrawing, keeps the rng stream and
+					// every in-range draw.
+					slot := cfg.BusTransferLat + rng.Intn(2*cfg.BusLatency())
+					plat.TDMASlot = max(slot, cfg.BusLatency())
 				}
 				typ := "load"
 				if rng.Intn(4) == 0 {

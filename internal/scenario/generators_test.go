@@ -212,3 +212,30 @@ func TestMixGeneratorDeterministic(t *testing.T) {
 		t.Error("different seeds produced identical mixes")
 	}
 }
+
+// TestMixTDMASlotsCoverLbus expands (without simulating) the default mix
+// over seeds 1-20 at count 64 and checks that no TDMA job draws a slot
+// shorter than the longest bus transaction, which would let a core
+// starve until the warmup cap.
+func TestMixTDMASlotsCoverLbus(t *testing.T) {
+	lbus := sim.NGMPRef().BusLatency()
+	tdma := 0
+	for seed := 1; seed <= 20; seed++ {
+		for _, j := range expand(t, "mix", scenario.Params{"count": float64(64), "seed": float64(seed)}) {
+			plat := j.Scenario.Platform
+			if plat.Arbiter != "tdma" {
+				continue
+			}
+			tdma++
+			if plat.TDMASlot < lbus {
+				t.Errorf("seed %d %s: TDMA slot %d < lbus %d", seed, j.ID, plat.TDMASlot, lbus)
+			}
+			if _, err := plat.Build(); err != nil {
+				t.Errorf("seed %d %s: %v", seed, j.ID, err)
+			}
+		}
+	}
+	if tdma == 0 {
+		t.Fatal("no TDMA job drawn")
+	}
+}

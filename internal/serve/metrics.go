@@ -7,43 +7,76 @@ import (
 	"time"
 
 	"rrbus/internal/sim"
-	"rrbus/internal/store"
 )
 
 // The /metrics endpoint hand-rolls the Prometheus text exposition format
 // (version 0.0.4) — counters and gauges only, no labels, no client
-// library. Everything job-shaped is read from the Session counters and
-// gauges (the same numbers the status endpoints and the drain summary
+// library. Everything job-shaped is read from each plan's run totals
+// (runTotals: the same numbers the status endpoints and the drain summary
 // report — one source of truth); everything cycle-shaped comes from the
 // simulator's process-wide sim.ExecStats tally.
 
-// sessionTotals accumulates one session's counters into server-wide
-// monotonic totals. Re-running a plan replaces its session, so the
-// totals of replaced sessions are folded into Server.folded first;
-// live metrics are folded + current sessions.
+// sessionTotals accumulates plan runs' counters into server-wide
+// monotonic totals. Re-running a plan replaces its run, so the totals of
+// replaced runs are folded into Server.folded first; live metrics are
+// folded + every plan's latest run.
 type sessionTotals struct {
 	simulated, hits, quarantined, repaired, retried int64
 }
 
-func (t *sessionTotals) add(sess *store.Session) {
-	t.simulated += sess.Simulated()
-	t.hits += sess.StoreHits()
-	t.quarantined += sess.Quarantined()
-	t.repaired += sess.Repaired()
-	t.retried += sess.Retried()
+func (t *sessionTotals) add(u sessionTotals) {
+	t.simulated += u.simulated
+	t.hits += u.hits
+	t.quarantined += u.quarantined
+	t.repaired += u.repaired
+	t.retried += u.retried
+}
+
+// runTotals returns the counters of the plan's latest run: its session's
+// in local mode; in coordinator mode the store diff's hits, quarantines
+// and retries plus the rows the queue ingested for the plan (each of two
+// overlapping plans counts a row both wait on, as both statuses do).
+// Callers hold ps.mu.
+func (s *Server) runTotals(ps *planState) sessionTotals {
+	if sess := ps.sess; sess != nil {
+		return sessionTotals{
+			simulated:   sess.Simulated(),
+			hits:        sess.StoreHits(),
+			quarantined: sess.Quarantined(),
+			repaired:    sess.Repaired(),
+			retried:     sess.Retried(),
+		}
+	}
+	t := sessionTotals{hits: ps.distHits, quarantined: ps.distQuarantined, retried: ps.distRetried}
+	if ps.distEnqueued {
+		t.simulated = s.queue.PlanCounters(ps.plan.Hash()).Ingested
+	}
+	return t
+}
+
+// totalsLocked is the server-wide total /metrics and Drain report: the
+// folded totals of replaced runs plus every plan's latest run. Callers
+// hold s.mu.
+func (s *Server) totalsLocked() sessionTotals {
+	tot := s.folded
+	for _, ps := range s.plans {
+		ps.mu.Lock()
+		tot.add(s.runTotals(ps))
+		ps.mu.Unlock()
+	}
+	return tot
 }
 
 // handleMetrics renders the scrape. Counters must never decrease across
 // a server's lifetime; gauges are instantaneous.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	tot := s.folded
+	tot := s.totalsLocked()
 	var queue, jobsInFlight int64
 	var active int64
 	for _, ps := range s.plans {
 		ps.mu.Lock()
 		if ps.sess != nil {
-			tot.add(ps.sess)
 			queue += ps.sess.QueueDepth()
 			jobsInFlight += ps.sess.InFlight()
 		}

@@ -130,8 +130,10 @@ type planState struct {
 	// Coordinator-mode runs have no session; the diff pass records how
 	// many rows the store already held (and how many corrupt entries it
 	// quarantined for the fleet to re-derive), the store reads count
-	// their retries, and the queue tracks the rest per plan hash.
-	distributed     bool
+	// their retries, and the queue tracks the rest per plan hash once
+	// this run has enqueued (distEnqueued; until then the queue still
+	// holds the previous run's counters, already folded).
+	distEnqueued    bool
 	distHits        int64
 	distQuarantined int64
 	distRetried     int64
@@ -298,12 +300,10 @@ func (s *Server) register(c *scenario.Compiled) *planState {
 	if ps.status == StatusQueued || ps.status == StatusSimulating {
 		return ps // the running session already covers this submission
 	}
-	if ps.sess != nil {
-		// A re-run replaces the session; fold the old counters into the
-		// server totals so /metrics stays monotonic while the status
-		// endpoint reports the latest run alone.
-		s.folded.add(ps.sess)
-	}
+	// A re-run replaces the run's counters; fold the old ones into the
+	// server totals so /metrics and the drain summary stay monotonic while
+	// the status endpoint reports the latest run alone.
+	s.folded.add(s.runTotals(ps))
 	ps.status = StatusQueued
 	ps.results = nil
 	ps.err = ""
@@ -312,8 +312,8 @@ func (s *Server) register(c *scenario.Compiled) *planState {
 		// worker fleet do the running. The queue deduplicates overlapping
 		// plans by job hash, playing the role the session dedup table
 		// plays in local mode.
-		ps.distributed = true
 		ps.sess, ps.view = nil, nil
+		ps.distEnqueued = false
 		ps.distHits, ps.distQuarantined, ps.distRetried = 0, 0, 0
 	} else {
 		view := s.dedup.Wrap(s.st)
@@ -403,24 +403,18 @@ func (s *Server) statusLocked(ps *planState) PlanStatus {
 		},
 		Status: ps.status,
 	}
+	// In coordinator mode the fleet simulates and the queue counts: rows
+	// ingested from workers are the runs this plan caused, so they fill
+	// the Simulated slot a warm resubmission reports as 0.
+	t := s.runTotals(ps)
+	st.Simulated, st.StoreHits, st.Quarantined = t.simulated, t.hits, t.quarantined
+	st.Repaired, st.Retried = t.repaired, t.retried
 	if sess != nil {
-		st.Simulated = sess.Simulated()
-		st.StoreHits = sess.StoreHits()
-		st.Quarantined = sess.Quarantined()
-		st.Repaired = sess.Repaired()
-		st.Retried = sess.Retried()
 		st.QueueDepth = sess.QueueDepth()
 		st.InFlight = sess.InFlight()
-	} else if ps.distributed && s.queue != nil {
-		// Coordinator mode: the fleet simulates, the queue counts. Rows
-		// ingested from workers are the runs this plan caused, so they
-		// fill the Simulated slot a warm resubmission reports as 0.
+	} else if ps.distEnqueued {
 		pc := s.queue.PlanCounters(c.Hash())
 		st.Leased, st.Ingested, st.Requeued = pc.Leased, pc.Ingested, pc.Requeued
-		st.Simulated = pc.Ingested
-		st.StoreHits = ps.distHits
-		st.Quarantined = ps.distQuarantined
-		st.Retried = ps.distRetried
 	}
 	st.Present = int(st.Simulated + st.StoreHits)
 	if st.Present > st.Jobs {
@@ -657,17 +651,14 @@ func (s *Server) Drain() DrainSummary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sum.Plans = len(s.plans)
-	tot := s.folded
 	for _, ps := range s.plans {
 		ps.mu.Lock()
 		if ps.status == StatusInterrupted {
 			sum.Interrupted++
 		}
-		if ps.sess != nil {
-			tot.add(ps.sess)
-		}
 		ps.mu.Unlock()
 	}
+	tot := s.totalsLocked()
 	sum.Simulated = tot.simulated
 	sum.StoreHits = tot.hits
 	sum.Quarantined = tot.quarantined
@@ -676,14 +667,6 @@ func (s *Server) Drain() DrainSummary {
 	if s.queue != nil {
 		qc := s.queue.Counters()
 		sum.Leased, sum.Ingested, sum.Requeued = qc.Leased, qc.Ingested, qc.Requeued
-		sum.Simulated += qc.Ingested
-		for _, ps := range s.plans {
-			ps.mu.Lock()
-			sum.StoreHits += ps.distHits
-			sum.Quarantined += ps.distQuarantined
-			sum.Retried += ps.distRetried
-			ps.mu.Unlock()
-		}
 	}
 	return sum
 }

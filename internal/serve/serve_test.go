@@ -569,6 +569,9 @@ func TestServeFaulty(t *testing.T) {
 // distribute mode: with every row warm the coordinator's store diff and
 // read-back are the whole run, and both must retry transient errors
 // under Options.Retry as a local session does, then report the retries.
+// /metrics, the status endpoint and the drain summary read one per-plan
+// total, so a scrape equals the status, a resubmission never lowers a
+// counter, and the drain summary equals the final scrape.
 func TestServeFaultyDistributed(t *testing.T) {
 	c := compileBody(t, fig7Body)
 	mem := store.NewMem()
@@ -583,7 +586,12 @@ func TestServeFaultyDistributed(t *testing.T) {
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	defer srv.Drain()
+	drained := false
+	defer func() {
+		if !drained {
+			srv.Drain()
+		}
+	}()
 
 	postPlan(t, ts.URL, fig7Body)
 	st := waitStatus(t, ts.URL, c.Hash())
@@ -599,6 +607,48 @@ func TestServeFaultyDistributed(t *testing.T) {
 	got, _ := getDoc(t, ts.URL, c.Hash(), "text")
 	if !bytes.Equal(got, want) {
 		t.Fatalf("faulty distributed doc differs from clean render:\n%s", got)
+	}
+
+	counters := []string{
+		"rrbus_jobs_simulated_total", "rrbus_jobs_store_hits_total",
+		"rrbus_jobs_quarantined_total", "rrbus_jobs_repaired_total",
+		"rrbus_store_retries_total",
+	}
+	statusVals := func(st serve.PlanStatus) []float64 {
+		return []float64{float64(st.Simulated), float64(st.StoreHits),
+			float64(st.Quarantined), float64(st.Repaired), float64(st.Retried)}
+	}
+	first := scrapeMetrics(t, ts.URL)
+	for i, v := range statusVals(st) {
+		if first[counters[i]] != v {
+			t.Errorf("first run: %s = %v, status reports %v", counters[i], first[counters[i]], v)
+		}
+	}
+
+	// A resubmission replaces the run's counters: the scrape must add the
+	// second run to the first, never restart from it.
+	postPlan(t, ts.URL, fig7Body)
+	st2 := waitStatus(t, ts.URL, c.Hash())
+	if st2.Status != serve.StatusComplete {
+		t.Fatalf("resubmitted distributed run ended %q (err %q)", st2.Status, st2.Err)
+	}
+	second := scrapeMetrics(t, ts.URL)
+	for i, v := range statusVals(st2) {
+		name := counters[i]
+		if second[name] < first[name] {
+			t.Errorf("%s fell across a resubmission: %v -> %v", name, first[name], second[name])
+		}
+		if second[name] != first[name]+v {
+			t.Errorf("second run: %s = %v, want %v + the status's %v", name, second[name], first[name], v)
+		}
+	}
+
+	drained = true
+	sum := srv.Drain()
+	for i, v := range []int64{sum.Simulated, sum.StoreHits, sum.Quarantined, sum.Repaired, sum.Retried} {
+		if float64(v) != second[counters[i]] {
+			t.Errorf("drain summary %s = %d, final scrape %v", counters[i], v, second[counters[i]])
+		}
 	}
 }
 

@@ -217,10 +217,11 @@ func (s *Server) runDistributed(ps *planState) ([]scenario.Result, error) {
 			missing = append(missing, dist.JobSpec{Hash: h, Job: c.Jobs[i]})
 		}
 	}
+	s.queue.Enqueue(c.Hash(), missing)
 	ps.mu.Lock()
 	ps.distHits, ps.distQuarantined = hits, quarantined
+	ps.distEnqueued = true
 	ps.mu.Unlock()
-	s.queue.Enqueue(c.Hash(), missing)
 	if err := s.queue.Wait(s.ctx, c.Hash()); err != nil {
 		return nil, err
 	}

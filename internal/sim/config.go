@@ -135,6 +135,12 @@ func (c Config) Validate() error {
 	if c.TDMASlot < 0 {
 		return fmt.Errorf("sim: negative TDMA slot %d", c.TDMASlot)
 	}
+	// The bus does not preempt, so a grant longer than its slot runs into
+	// the next one; a port whose slot always opens on a busy bus is never
+	// granted, and the run spins to the warmup cap.
+	if c.Arbiter == ArbiterTDMA && c.TDMASlot > 0 && c.TDMASlot < c.BusLatency() {
+		return fmt.Errorf("sim: TDMA slot %d is shorter than the longest bus transaction (lbus %d)", c.TDMASlot, c.BusLatency())
+	}
 	return nil
 }
 

@@ -90,6 +90,10 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"mem line", func(c *Config) { c.Mem.LineBytes = 64 }, "memory line"},
 		{"arbiter", func(c *Config) { c.Arbiter = "bogus" }, "unknown arbiter"},
 		{"tdma slot", func(c *Config) { c.TDMASlot = -1 }, "TDMA"},
+		// The platform of mix seed 2's mix/055/tdma (count 64), which
+		// starved a core until the warmup cap.
+		{"tdma slot below lbus", func(c *Config) { c.Arbiter = ArbiterTDMA; c.TDMASlot = 8 },
+			"TDMA slot 8 is shorter than the longest bus transaction (lbus 9)"},
 	}
 	for _, tc := range cases {
 		c := NGMPRef()

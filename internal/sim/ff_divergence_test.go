@@ -133,16 +133,28 @@ func TestFastForwardContenderCountersAcrossReset(t *testing.T) {
 	t.Parallel()
 	// Per-core counters of every core — not just the scua — must match
 	// the scalar run even when ResetStats lands in the middle of a
-	// contender's nop batch: the batch pre-commits its Nops/Instrs, and
-	// ResetCounters re-credits the post-reset remainder.
+	// contender's instruction batch: the batch pre-commits its op counts
+	// and Instrs, and ResetCounters re-credits the post-reset remainder.
+	// rsk-nop contenders batch uniform nop runs; EEMBC-like contenders
+	// batch runs that mix nops and IALUs of different latencies.
 	cfg := NGMPRef()
-	run := func(e Engine) []int64 {
+	run := func(e Engine, eembc []string) []int64 {
 		b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
 		b.Unroll = 2
 		progs := make([]*isa.Program, cfg.Cores)
 		iters := make([]uint64, cfg.Cores)
 		for c := 0; c < cfg.Cores; c++ {
-			p, err := b.RSKNop(c, isa.OpLoad, 20+3*c)
+			var p *isa.Program
+			var err error
+			if c > 0 && eembc != nil {
+				prof, ok := workload.ByName(eembc[c-1])
+				if !ok {
+					t.Fatalf("no profile %q", eembc[c-1])
+				}
+				p, err = prof.Build(c, 7)
+			} else {
+				p, err = b.RSKNop(c, isa.OpLoad, 20+3*c)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +167,7 @@ func TestFastForwardContenderCountersAcrossReset(t *testing.T) {
 		}
 		sys.setEngine(e)
 		// Sweep the reset across many cycle offsets so some land inside
-		// a contender's 20+ nop batch.
+		// a contender's batch.
 		var counts []int64
 		for _, stopIters := range []uint64{3, 5, 8, 13, 21} {
 			sys.RunUntil(func() bool { return sys.Core(0).Iters() >= stopIters }, 1<<22)
@@ -163,23 +175,29 @@ func TestFastForwardContenderCountersAcrossReset(t *testing.T) {
 			sys.RunUntil(func() bool { return sys.Core(0).Iters() >= stopIters+2 }, 1<<22)
 			for c := 0; c < cfg.Cores; c++ {
 				ctr := sys.Core(c).Counters()
-				counts = append(counts, int64(ctr.Instrs), int64(ctr.Nops), int64(ctr.Loads))
+				counts = append(counts, int64(ctr.Instrs), int64(ctr.Nops), int64(ctr.Loads),
+					int64(ctr.ALUs), int64(ctr.Branches))
 			}
 		}
 		return counts
 	}
-	slow := run(Oracle)
-	fast := run(Steady)
-	if !reflect.DeepEqual(slow, fast) {
-		t.Errorf("per-core counters diverge:\ncycle-by-cycle: %v\nfast-forward:   %v", slow, fast)
+	for _, eembc := range [][]string{nil, {"basefp", "iirflt", "aifftr"}} {
+		slow := run(Oracle, eembc)
+		for _, e := range []Engine{Event, Steady} {
+			if fast := run(e, eembc); !reflect.DeepEqual(slow, fast) {
+				t.Errorf("contenders %v, engine %d: per-core counters diverge:\ncycle-by-cycle: %v\nfast-forward:   %v",
+					eembc, e, slow, fast)
+			}
+		}
 	}
 }
 
 func TestFastForwardIALUBatchEquivalence(t *testing.T) {
 	t.Parallel()
-	// IALU runs batch like nop runs; compute-dominated EEMBC-like
-	// profiles are the workloads with long same-latency ALU stretches.
-	// The full measurement (window, requests, PMCs, per-core counters —
+	// IALU runs batch like nop runs, whatever their latencies;
+	// compute-dominated EEMBC-like profiles interleave IALU(0) and
+	// IALU(3), so most of their batches mix latencies. The full
+	// measurement (window, requests, PMCs, per-core counters —
 	// including mid-batch warmup-boundary splits) must be bit-identical
 	// with and without the fast path + batching.
 	cfg := NGMPRef()
@@ -211,8 +229,9 @@ func TestFastForwardIALUGrantEquivalence(t *testing.T) {
 	t.Parallel()
 	// Grant-level equivalence for a mixed-latency ALU body: runs of
 	// IALU(0) (IntLatency) and IALU(3) interleaved with loads, so
-	// batches form, split at latency changes, and end at the loop
-	// branch. Every grant must match the scalar run exactly.
+	// batches span latency changes, split at loads and fetch lines, and
+	// stop short of the loop branch. Every grant must match the scalar
+	// run exactly.
 	cfg := NGMPRef()
 	mk := func() []*isa.Program {
 		base := uint64(0x1000_0000)
