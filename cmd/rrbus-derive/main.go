@@ -3,15 +3,25 @@
 // its confidence assessment, next to the naive det/nr baseline and Eq. 1
 // ground truth.
 //
-// The measurement sweep can also run declaratively through the library's
-// Plan→Run→Store→Render pipeline: a scenario file with the "derive"
-// generator compiles to a content-addressed plan fixing the k range,
-// -shard streams this machine's share of the (δnop + per-k) jobs to
-// JSONL, -merge recombines the shard files and runs the period detection
-// over the reassembled series, -from re-derives from an already-merged
-// results file without simulating at all, and -store serves any job a
-// previous run already recorded — a derivation over a k range that
-// overlaps an earlier fig7 sweep simulates only the delta. The recorded
+// Every measurement runs as a plan through the library's
+// Plan→Run→Store→Render pipeline. The flag mode builds the derivation
+// plan from its flags and auto-extends it: while the sweep covers fewer
+// than two saw-tooth periods, the same plan is compiled with kmax doubled
+// and run again, each pass simulating only the k the store does not hold
+// yet. The naive baseline is one more job on the same session (the plain
+// rsk against Nc−1 rsk, isolation-paired). -store names a results store
+// directory that serves and records every job of both, so a re-run
+// simulates nothing; without it the passes share an in-memory store.
+//
+// A scenario file with the "derive" generator compiles to a
+// content-addressed plan fixing the k range instead: -shard streams this
+// machine's share of the (δnop + per-k) jobs to JSONL, -merge recombines
+// the shard files and runs the period detection over the reassembled
+// series, -from re-derives from an already-merged results file without
+// simulating at all, and -store serves any job a previous run already
+// recorded — a derivation over a k range that overlaps an earlier fig7
+// sweep simulates only the delta. The scenario path measures no naive
+// baseline, so its -json report leaves naive_ubdm out. The recorded
 // measurements are the single source of truth, so a replayed or
 // store-served derivation is byte-identical to the live one.
 //
@@ -20,6 +30,7 @@
 //	rrbus-derive -arch ref
 //	rrbus-derive -arch var -type store -kmax 80
 //	rrbus-derive -cores 6 -l2hit 12 -json
+//	rrbus-derive -arch ref -store results/
 //	rrbus-derive -scenario derive.json -store results/
 //	rrbus-derive -scenario derive.json -shard 0/2 -out shard0.jsonl
 //	rrbus-derive -scenario derive.json -merge shard0.jsonl shard1.jsonl
@@ -50,7 +61,7 @@ type jsonReport struct {
 	Methods    map[rrbus.PeriodMethod]int `json:"methods"`
 	Confidence float64                    `json:"confidence"`
 	Notes      []string                   `json:"notes,omitempty"`
-	NaiveUBDm  int                        `json:"naive_ubdm"`
+	NaiveUBDm  *int                       `json:"naive_ubdm,omitempty"`
 	Slowdowns  []float64                  `json:"slowdowns,omitempty"`
 	Err        string                     `json:"error,omitempty"`
 }
@@ -71,7 +82,7 @@ func main() {
 	out := flag.String("out", "", "stream the sweep's per-job results as JSONL to this file (\"-\" = stdout)")
 	merge := flag.Bool("merge", false, "merge mode: recombine shard JSONL files (args), then detect the period over the merged series")
 	from := flag.String("from", "", "replay mode: re-derive from this recorded JSONL results file instead of simulating")
-	storeDir := flag.String("store", "", "content-addressed results store directory: serve recorded jobs, record fresh ones (needs -scenario)")
+	storeDir := flag.String("store", "", "content-addressed results store directory: serve recorded jobs, record fresh ones")
 	format := flag.String("format", "text", "render backend for the scenario derivation report: text, html or json (needs -scenario)")
 	flag.Parse()
 	rrbus.SetWorkers(*workers)
@@ -81,7 +92,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *jsonOut && *format != "text" {
-		fmt.Fprintln(os.Stderr, "rrbus-derive: -json is the classic flat report; -format renders the document — use one or the other")
+		fmt.Fprintln(os.Stderr, "rrbus-derive: -json is the flat report; -format renders the document — use one or the other")
 		os.Exit(2)
 	}
 
@@ -90,34 +101,18 @@ func main() {
 		runScenario(*scenarioFile, *shardSpec, *out, *from, *storeDir, *merge, *jsonOut, *series, backend, flag.Args())
 		return
 	}
-	if *shardSpec != "" || *out != "" || *from != "" || *storeDir != "" {
-		fmt.Fprintln(os.Stderr, "rrbus-derive: -shard/-out/-from/-store need -scenario")
+	if *shardSpec != "" || *out != "" || *from != "" {
+		fmt.Fprintln(os.Stderr, "rrbus-derive: -shard/-out/-from need -scenario")
 		os.Exit(2)
 	}
 	if *format != "text" {
-		fmt.Fprintln(os.Stderr, "rrbus-derive: -format needs -scenario (the classic path prints the flat report; use -json for machine output)")
+		fmt.Fprintln(os.Stderr, "rrbus-derive: -format needs -scenario (the flag mode prints the flat report; use -json for machine output)")
 		os.Exit(2)
 	}
-
-	cfg, err := rrbus.PlatformByName(*arch)
-	if err != nil {
+	if _, err := rrbus.PlatformByName(*arch); err != nil {
 		fmt.Fprintln(os.Stderr, "rrbus-derive:", err)
 		os.Exit(2)
 	}
-	if *cores > 0 || *transfer > 0 || *l2hit > 0 {
-		nc, tr, l2 := cfg.Cores, cfg.BusTransferLat, cfg.L2HitLat
-		if *cores > 0 {
-			nc = *cores
-		}
-		if *transfer > 0 {
-			tr = *transfer
-		}
-		if *l2hit > 0 {
-			l2 = *l2hit
-		}
-		cfg = rrbus.ScaledConfig(cfg, nc, tr, l2)
-	}
-
 	t := rrbus.OpLoad
 	if *typ == "store" {
 		t = rrbus.OpStore
@@ -125,35 +120,38 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rrbus-derive: unknown type %q (load|store)\n", *typ)
 		os.Exit(2)
 	}
+	// Non-positive geometry flags keep the base platform's value.
+	platform := rrbus.PlatformSpec{Arch: *arch, Cores: max(*cores, 0), Transfer: max(*transfer, 0), L2Hit: max(*l2hit, 0)}
+	runFlags(platform, rrbus.DeriveOptions{Type: t, KMin: *kmin, KMax: *kmax}, prog.OpenStore(*storeDir), *jsonOut, *series)
+}
 
-	r, err := rrbus.NewRunner(cfg)
-	prog.Fail(err)
-
-	rep := jsonReport{Arch: cfg.Name, Type: *typ, ActualUBD: cfg.UBD()}
-	res, derr := rrbus.Derive(r, rrbus.DeriveOptions{Type: t, KMin: *kmin, KMax: *kmax, AutoExtend: true})
-	if derr != nil {
-		rep.Err = derr.Error()
+// runFlags is the flag-mode path: the auto-extending derivation and the
+// naive baseline run on one Session — over the -store directory, or an
+// in-memory store that lets each extension pass reuse the k the previous
+// passes measured — and the derive report prints with the naive line.
+func runFlags(platform rrbus.PlatformSpec, opt rrbus.DeriveOptions, st rrbus.Store, jsonOut, series bool) {
+	ctx, stop := rrbus.SignalContext()
+	defer stop()
+	sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry}
+	if st == nil {
+		sess.Store = rrbus.NewMemStore()
 	}
-	fillReport(&rep, res, *series)
-	nv, err := rrbus.NaiveUBDMFor(r, t)
+	d, err := rrbus.RunDerivation(ctx, sess, platform, opt)
+	var nv *rrbus.NaiveResult
+	if err == nil {
+		nv, err = rrbus.NaiveUBDM(ctx, sess, platform, opt.Type)
+	}
+	prog.ReportStore(sess, st)
+	prog.ExitIfInterrupted(err, st)
 	prog.Fail(err)
-	rep.NaiveUBDm = nv.UBDm
 
-	if *jsonOut {
-		emitJSON(rep)
+	if jsonOut {
+		emitJSON(flatReport(d, nv, series))
 		return
 	}
-
-	fmt.Printf("platform            %s (%d cores, lbus=%d)\n", rep.Arch, cfg.Cores, cfg.BusLatency())
-	fmt.Printf("access type         %s\n", rep.Type)
-	fmt.Printf("actual ubd (Eq.1)   %d cycles\n", rep.ActualUBD)
-	if rep.Err != "" {
-		fmt.Printf("derivation FAILED: %s\n", rep.Err)
-	} else if res != nil {
-		fmt.Print(res.Report())
-	}
-	fmt.Printf("naive ubdm          %d cycles (det/nr — underestimates by the injection time)\n", rep.NaiveUBDm)
-	if rep.Err != "" {
+	prog.Fail(rrbus.RenderTo(os.Stdout, d.Document(), nil))
+	fmt.Printf("naive ubdm          %d cycles (det/nr — underestimates by the injection time)\n", nv.UBDm)
+	if d.Err != nil {
 		os.Exit(1)
 	}
 }
@@ -164,7 +162,7 @@ func main() {
 // merged file, -store serves and records rows by content hash, and in
 // every case the detection half (DeriveFromResults) runs over recorded
 // results only. -json/-series apply to the detection report exactly as
-// on the classic path.
+// in the flag mode.
 func runScenario(path, shardSpec, out, from, storeDir string, merge, jsonOut, series bool, backend rrbus.Backend, args []string) {
 	if path == "" {
 		prog.Fail(fmt.Errorf("-merge needs -scenario (the plan defines the k range and platform)"))
@@ -264,24 +262,15 @@ func mergeResults(plan *rrbus.Plan, files []string, out string) []rrbus.Result {
 // deriveFromResults runs the detection half of the methodology on the
 // recorded job results (job 0 is the δnop calibration, jobs 1.. the k
 // sweep) and prints the report — the shared Render text (so rrbus-derive
-// and rrbus-figures render a recording identically), or the classic
-// -json shape. The naive det/nr baseline is omitted: it needs
-// measurements the sweep does not take.
+// and rrbus-figures render a recording identically), or the -json shape.
+// The naive det/nr baseline is left out: it needs a measurement the
+// sweep does not take.
 func deriveFromResults(plan *rrbus.Plan, results []rrbus.Result, jsonOut, series bool, backend rrbus.Backend) {
 	d, err := rrbus.DeriveFromResults(plan, results)
 	prog.Fail(err)
 
 	if jsonOut {
-		typ := "load"
-		if d.Type == rrbus.OpStore {
-			typ = "store"
-		}
-		rep := jsonReport{Arch: d.Cfg.Name, Type: typ, ActualUBD: d.Cfg.UBD()}
-		if d.Err != nil {
-			rep.Err = d.Err.Error()
-		}
-		fillReport(&rep, d.Res, series)
-		emitJSON(rep)
+		emitJSON(flatReport(d, nil, series))
 		return
 	}
 
@@ -291,6 +280,25 @@ func deriveFromResults(plan *rrbus.Plan, results []rrbus.Result, jsonOut, series
 	if d.Err != nil {
 		os.Exit(1)
 	}
+}
+
+// flatReport flattens a derivation into the -json report shape. naive is
+// the measured det/nr baseline, or nil when none was measured (the
+// scenario path), which leaves naive_ubdm out of the report.
+func flatReport(d *rrbus.Derivation, naive *rrbus.NaiveResult, series bool) jsonReport {
+	typ := "load"
+	if d.Type == rrbus.OpStore {
+		typ = "store"
+	}
+	rep := jsonReport{Arch: d.Cfg.Name, Type: typ, ActualUBD: d.Cfg.UBD()}
+	if d.Err != nil {
+		rep.Err = d.Err.Error()
+	}
+	fillReport(&rep, d.Res, series)
+	if naive != nil {
+		rep.NaiveUBDm = &naive.UBDm
+	}
+	return rep
 }
 
 // fillReport copies a derivation result into the JSON report shape.
@@ -310,10 +318,14 @@ func fillReport(rep *jsonReport, res *rrbus.DeriveResult, series bool) {
 }
 
 func emitJSON(rep jsonReport) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	prog.Fail(enc.Encode(rep))
+	prog.Fail(writeJSON(os.Stdout, rep))
 	if rep.Err != "" {
 		os.Exit(1)
 	}
+}
+
+func writeJSON(w io.Writer, rep jsonReport) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
 }

@@ -119,7 +119,7 @@ func main() {
 
 	// Classic figure names, each backed by a scenario generator (so -fig
 	// and -scenario render through the same report code), except the
-	// summary table, whose derivation sweep auto-extends in-process.
+	// summary table, whose derivations auto-extend pass by pass.
 	ref, err := rrbus.PlatformByName("ref")
 	prog.Fail(err)
 	type figSpec struct {
@@ -155,13 +155,9 @@ func main() {
 		did = true
 		if s.generator == "" {
 			if *from != "" {
-				prog.Fail(fmt.Errorf("-fig table derives in-process and cannot replay from JSONL"))
+				prog.Fail(fmt.Errorf("-fig table runs auto-extending derivation plans and cannot replay from one JSONL recording"))
 			}
-			vr, err := rrbus.PlatformByName("var")
-			prog.Fail(err)
-			rows, err := rrbus.Summary(ref, vr)
-			prog.Fail(err)
-			appendDoc(combined, *fig, rrbus.SummaryDocument(rows))
+			appendDoc(combined, *fig, rrbus.SummaryDocument(summary(ctx, st)))
 			continue
 		}
 		if *from != "" && *fig == "all" {
@@ -195,6 +191,21 @@ func appendDoc(combined *rrbus.Document, fig string, doc *rrbus.Document) {
 		combined.Generator = doc.Generator
 	}
 	combined.Add(doc.Blocks...)
+}
+
+// summary derives the headline table on ref and var. Every pass runs on
+// one Session over the -store directory, or over an in-memory store that
+// lets each extension pass reuse the k the previous passes measured.
+func summary(ctx context.Context, st rrbus.Store) []rrbus.SummaryRow {
+	sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry}
+	if st == nil {
+		sess.Store = rrbus.NewMemStore()
+	}
+	rows, err := rrbus.Summary(ctx, sess, rrbus.PlatformSpec{Arch: "ref"}, rrbus.PlatformSpec{Arch: "var"})
+	prog.ReportStore(sess, st)
+	prog.ExitIfInterrupted(err, st)
+	prog.Fail(err)
+	return rows
 }
 
 // obtainResults produces one result per job of the plan: replayed from a

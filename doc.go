@@ -46,13 +46,21 @@
 //
 // and builds byte-identical output, because every renderer consumes
 // only recorded rows — the text backend is golden-tested to reproduce
-// the pre-Document renderers byte for byte. One-call derivation is
-// still there for the common case:
+// the pre-Document renderers byte for byte. One-call derivation runs
+// the same way, as plans through a Session:
 //
-//	cfg := rrbus.ReferenceNGMP()            // 4-core NGMP, ubd = 27
-//	res, err := rrbus.DeriveUBD(cfg, rrbus.DeriveOptions{})
+//	ref := rrbus.PlatformSpec{Arch: "ref"}  // 4-core NGMP, ubd = 27
+//	res, err := rrbus.DeriveUBD(ctx, sess, ref, rrbus.DeriveOptions{})
 //	if err != nil { ... }
 //	fmt.Println(res.UBDm)                   // 27, from measurements alone
+//
+// DeriveUBD compiles the derivation sweep at a first kmax and runs it on
+// sess; while the series covers fewer than two saw-tooth periods it
+// doubles kmax (up to KLimit) and runs the longer plan on the same
+// session, whose store serves every k already measured — each extension
+// simulates only its new jobs (a storeless session re-simulates them
+// all). NaiveUBDM measures the naive det/nr baseline as one more job,
+// and Summary runs both per platform to build the headline table.
 //
 // The derived bound pads execution-time bounds for measurement-based timing
 // analysis: ETB = ExecTime_isolation + nr * ubdm, where nr is the task's
@@ -65,8 +73,9 @@
 //   - internal/sim, cpu, cache, bus, mem: the simulated platform
 //     (substitute for the authors' validated NGMP simulator + DRAMsim2)
 //   - internal/kernel: rsk(t), rsk-nop(t,k) and the δnop nop-kernel
-//   - internal/core: the derivation methodology (Eq. 3 period detection,
-//     confidence checks), plus the naive det/nr baseline it improves on
+//   - internal/core: the derivation methodology over recorded series
+//     (Eq. 3 period detection, confidence checks), plus the naive det/nr
+//     baseline it improves on
 //   - internal/workload: EEMBC-Autobench-like synthetic tasks
 //   - internal/analytic: closed forms (Eq. 1 ubd, Eq. 2 γ(δ))
 //   - internal/trace, stats, pmc: observation tooling
@@ -103,10 +112,9 @@
 // The batch CLIs (rrbus-figures, rrbus-derive) expose the pool as
 // -workers; -workers 1 recovers fully serial execution on the
 // calling goroutine (rrbus-sim runs a single simulation, so it has no
-// batch to fan out). Derive fans its k-sweep out only when the Runner
-// declares itself safe for concurrent measurements (ConcurrentSafe, which
-// the simulator-backed SimRunner does); order-dependent runners such as
-// NoisyRunner or a hardware board stay strictly serial.
+// batch to fan out). Every batch draws its goroutines from one
+// process-wide budget, so concurrent sessions — the plans rrbus-serve
+// runs at once — share the pool instead of multiplying it.
 //
 // Inside each worker the simulator itself is allocation-free in steady
 // state (pooled bus requests and memory transactions, dense histograms)
@@ -210,9 +218,10 @@
 // figure, ablation and derivation sweep — so arbitrary user-defined
 // experiments run from a file, with no code edits.
 //
-// Execution is streaming: exp.Stream delivers each job's result to an
-// exp.Sink in job-index order as soon as its predecessors are delivered,
-// not after the batch — a JSONL file fills while later jobs still run.
+// Execution is streaming: exp.StreamShard delivers each job's result to
+// an exp.Sink in job-index order as soon as its predecessors are
+// delivered, not after the batch — a JSONL file fills while later jobs
+// still run.
 // exp.Shard{Index, Count} deterministically selects every Count-th job,
 // so one job list splits across machines:
 //
@@ -265,9 +274,9 @@
 // sweep and cmp's the bytes every push). The -fig flags and the figure
 // tests run through exactly the same path — expand generator, record
 // results, render — so the live artifacts and the archived ones can
-// never drift apart. The one exception is the headline summary table
-// (Summary, -fig table), whose derivation sweep auto-extends in-process;
-// internal/report only lays out its rows.
+// never drift apart. The headline summary table (Summary, -fig table)
+// runs its auto-extending derivations and naive jobs as plans through
+// one Session too, so -store serves it like any figure.
 //
 // # The results store: measure once, reuse everywhere
 //
@@ -304,7 +313,7 @@
 //
 // Cancellation is graceful drain. Every pipeline entry point has a
 // context-taking form (Session.RunContext, RunAllContext,
-// RunToFileContext; exp.Stream and friends underneath): when the
+// RunToFileContext; exp.StreamShard underneath): when the
 // context is cancelled, no new jobs launch, in-flight jobs finish, and
 // the completed contiguous prefix of rows is delivered to the sink —
 // and recorded in the store — before ctx.Err() is returned. The CLIs

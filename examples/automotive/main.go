@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,8 +40,10 @@ func main() {
 	fmt.Printf("task %s: isolation %d cycles, nr=%d bus requests (PMC)\n",
 		task.Name, isol.Cycles, isol.Requests)
 
-	// Step 2: derive the platform's ubd from measurements.
-	res, err := rrbus.DeriveUBD(cfg, rrbus.DeriveOptions{})
+	// Step 2: derive the platform's ubd from measurements, run as plans
+	// through a Session.
+	sess := &rrbus.Session{Store: rrbus.NewMemStore()}
+	res, err := rrbus.DeriveUBD(context.Background(), sess, rrbus.PlatformSpec{Arch: "ref"}, rrbus.DeriveOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

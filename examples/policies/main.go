@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,6 +23,8 @@ import (
 func main() {
 	base := rrbus.ReferenceNGMP()
 	fmt.Printf("platform: %d cores, lbus=%d, Eq.1 ubd=%d\n\n", base.Cores, base.BusLatency(), base.UBD())
+	ctx := context.Background()
+	sess := &rrbus.Session{Store: rrbus.NewMemStore()}
 
 	for _, arb := range []struct {
 		kind rrbus.ArbiterKind
@@ -32,20 +35,18 @@ func main() {
 		{rrbus.ArbiterFP, "no rotating priority window: Eq. 2 does not apply"},
 		{rrbus.ArbiterLottery, "random grants: no stable period"},
 	} {
-		cfg := base
-		cfg.Arbiter = arb.kind
-		cfg.Name = base.Name + "-" + string(arb.kind)
-		res, err := rrbus.DeriveUBD(cfg, rrbus.DeriveOptions{KLimit: 160})
+		platform := rrbus.PlatformSpec{Arch: "ref", Arbiter: string(arb.kind)}
+		res, err := rrbus.DeriveUBD(ctx, sess, platform, rrbus.DeriveOptions{KLimit: 160})
 		switch {
 		case err != nil && res == nil:
 			log.Fatal(err)
 		case err != nil:
-			fmt.Printf("%-12s derivation refused: %v\n", cfg.Arbiter, err)
+			fmt.Printf("%-12s derivation refused: %v\n", arb.kind, err)
 		default:
 			fmt.Printf("%-12s derived %d cycles (periodK %d, confidence %.2f)",
-				cfg.Arbiter, res.UBDm, res.PeriodK, res.Confidence.Score())
-			if res.UBDm != cfg.UBD() {
-				fmt.Printf("  ** differs from Eq.1 ubd %d **", cfg.UBD())
+				arb.kind, res.UBDm, res.PeriodK, res.Confidence.Score())
+			if res.UBDm != base.UBD() {
+				fmt.Printf("  ** differs from Eq.1 ubd %d **", base.UBD())
 			}
 			fmt.Println()
 			for _, n := range res.Confidence.Notes {

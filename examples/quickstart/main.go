@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,9 +20,18 @@ func main() {
 	// round-robin bus holds each transaction for at most 9 cycles, so
 	// the true bound is ubd = (4-1)*9 = 27. The methodology must find
 	// this number without being told any of those latencies.
-	cfg := rrbus.ReferenceNGMP()
+	platform := rrbus.PlatformSpec{Arch: "ref"}
+	cfg, err := platform.Build()
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	res, err := rrbus.DeriveUBD(cfg, rrbus.DeriveOptions{})
+	// Every measurement runs as a plan through a Session. Its store
+	// records each row, so the derivation's auto-extension passes
+	// simulate only the k the previous passes did not cover.
+	ctx := context.Background()
+	sess := &rrbus.Session{Store: rrbus.NewMemStore()}
+	res, err := rrbus.DeriveUBD(ctx, sess, platform, rrbus.DeriveOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +46,7 @@ func main() {
 	// The naive approach — run an rsk against rsk copies and divide the
 	// slowdown by the request count — underestimates because of the
 	// synchrony effect (it converges to γ(δrsk), not ubd).
-	naive, err := rrbus.NaiveUBDM(cfg, rrbus.OpLoad)
+	naive, err := rrbus.NaiveUBDM(ctx, sess, platform, rrbus.OpLoad)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -23,15 +24,23 @@ import (
 
 func main() {
 	cfg := rrbus.ReferenceNGMP()
-	r, err := rrbus.NewRunner(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ctx := context.Background()
+	sess := &rrbus.Session{Store: rrbus.NewMemStore()}
 
 	fmt.Printf("store sweep on %s (ubd=%d, lbus=%d, store buffer %d entries)\n\n",
 		cfg.Name, cfg.UBD(), cfg.BusLatency(), cfg.StoreBufferDepth)
 	fmt.Println("  k  slowdown   per-store")
 
+	// The Fig. 7(b) plan: rsk-nop(store, k) against three rsk(store) for
+	// k = 1..45, each run paired with its isolation run.
+	plan, err := rrbus.GeneratorPlan("fig7b", rrbus.Params{"kmax": 45})
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, err := sess.RunAllContext(ctx, plan)
+	if err != nil {
+		log.Fatal(err)
+	}
 	zeroFrom := -1
 	var maxSlow int64 = 1
 	type pt struct {
@@ -40,17 +49,9 @@ func main() {
 		perStore float64
 	}
 	var pts []pt
-	for k := 1; k <= 45; k++ {
-		cont, err := r.RunContended(rrbus.OpStore, k)
-		if err != nil {
-			log.Fatal(err)
-		}
-		isol, err := r.RunIsolation(rrbus.OpStore, k)
-		if err != nil {
-			log.Fatal(err)
-		}
-		d := int64(cont.Cycles) - int64(isol.Cycles)
-		pts = append(pts, pt{k, d, float64(d) / float64(cont.Requests)})
+	for i, r := range results {
+		k, d := i+1, r.Slowdown
+		pts = append(pts, pt{k, d, float64(d) / float64(r.Requests)})
 		if d > maxSlow {
 			maxSlow = d
 		}
@@ -69,7 +70,7 @@ func main() {
 
 	// Contrast: the load-based derivation still works, and is the reason
 	// the methodology uses loads.
-	res, err := rrbus.DeriveUBD(cfg, rrbus.DeriveOptions{Type: rrbus.OpLoad})
+	res, err := rrbus.DeriveUBD(ctx, sess, rrbus.PlatformSpec{Arch: "ref"}, rrbus.DeriveOptions{Type: rrbus.OpLoad})
 	if err != nil {
 		log.Fatal(err)
 	}

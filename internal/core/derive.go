@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
-	"rrbus/internal/exp"
 	"rrbus/internal/isa"
 )
 
@@ -16,33 +14,36 @@ type Options struct {
 	// kernels (isa.OpLoad by default; isa.OpStore exercises the store
 	// buffer path of Fig. 7(b)).
 	Type isa.Op
-	// KMin..KMax is the initial nop-sweep range (defaults 1..40). With
-	// AutoExtend the range grows until a period is confirmed.
+	// KMin..KMax is the first pass's nop-sweep range (defaults 1..40).
 	KMin, KMax int
-	// AutoExtend doubles KMax (up to KLimit) while no period is found or
-	// fewer than MinPeriods full periods are observed. Default true via
-	// Derive; set KLimit to bound the search.
-	AutoExtend bool
-	// KLimit caps the sweep under AutoExtend (default 320).
+	// KLimit caps the sweep (default 320): while a pass sees fewer than
+	// two full periods, the next pass doubles KMax, up to KLimit.
 	KLimit int
-	// MinPeriods is the number of full saw-tooth periods required before
-	// the estimate is trusted (default 2, per Eq. 3's need for repeats).
-	MinPeriods int
 	// Tolerance is the Eq. 3 match tolerance as a fraction of the series
 	// amplitude (default 0.02; the simulator is exact, real hardware
 	// jitters).
 	Tolerance float64
-	// UtilizationMin is the confidence threshold on measured bus
-	// utilization during contended runs (default 0.9): Nc-1 rsk must
-	// saturate the bus "other than handshaking time".
-	UtilizationMin float64
-	// MaxUBD bounds the model-fit scan. The default is 4 × the series
-	// length, at least 16; ModelFitUBD further caps it at n·δnop/2, the
-	// largest ubd of which an n-point sweep covers two periods.
-	MaxUBD int
 }
 
-func (o *Options) fill() {
+const (
+	// minPeriods is the number of full saw-tooth periods a sweep must
+	// cover before the estimate is trusted (Eq. 3 needs repeats).
+	minPeriods = 2
+	// utilizationMin is the confidence threshold on measured bus
+	// utilization during contended runs: Nc-1 rsk must saturate the bus
+	// "other than handshaking time".
+	utilizationMin = 0.9
+)
+
+// maxUBD bounds the model-fit scan over an n-point series: 4n, at least
+// 16. ModelFitUBD further caps it at n·δnop/2, the largest ubd of which
+// an n-point sweep covers two periods.
+func maxUBD(n int) int { return max(16, 4*n) }
+
+// WithDefaults returns o with every unset field at its default: load
+// kernels, k = 1..40 (KMax <= KMin selects KMin+39), KLimit 320 and
+// tolerance 0.02.
+func (o Options) WithDefaults() Options {
 	if o.Type != isa.OpStore {
 		o.Type = isa.OpLoad
 	}
@@ -55,15 +56,10 @@ func (o *Options) fill() {
 	if o.KLimit == 0 {
 		o.KLimit = 320
 	}
-	if o.MinPeriods == 0 {
-		o.MinPeriods = 2
-	}
 	if o.Tolerance == 0 {
 		o.Tolerance = 0.02
 	}
-	if o.UtilizationMin == 0 {
-		o.UtilizationMin = 0.9
-	}
+	return o
 }
 
 // Confidence summarizes how trustworthy a derived bound is, following the
@@ -129,113 +125,18 @@ type Result struct {
 	Confidence Confidence
 }
 
-// runnerWorkers returns the worker count Derive may use for r's
-// measurement sweep: the experiment engine's default when r declares
-// itself safe for concurrent measurements (ConcurrentSafe), and 1 —
-// the historical strictly-serial behavior — otherwise. A NoisyRunner's
-// jitter stream and a hardware-backed runner's board session are
-// order-dependent, so they must stay serial.
-func runnerWorkers(r Runner) int {
-	if c, ok := r.(interface{ ConcurrentSafe() bool }); ok && c.ConcurrentSafe() {
-		return exp.Workers()
-	}
-	return 1
-}
-
-// Derive runs the full methodology of §4.2 on the platform behind r:
-// measure δnop, sweep rsk-nop(t, k) against Nc-1 rsk(t), difference against
-// isolation, detect the saw-tooth period, and map it to cycles.
-func Derive(r Runner, opt Options) (*Result, error) {
-	opt.fill()
-	if r.Cores() < 2 {
-		return nil, fmt.Errorf("core: contention derivation needs at least 2 cores, platform has %d", r.Cores())
-	}
-
-	deltaNop, err := r.MeasureDeltaNop()
-	if err != nil {
-		return nil, fmt.Errorf("core: measuring δnop: %w", err)
-	}
-	if deltaNop <= 0 {
-		return nil, fmt.Errorf("core: non-positive δnop %.3f", deltaNop)
-	}
-
-	res := &Result{
-		DeltaNop: deltaNop,
-		KMin:     opt.KMin,
-		Methods:  make(map[PeriodMethod]int),
-	}
-	minUtil := math.Inf(1)
-
-	kmax := opt.KMax
-	for {
-		// Extend the slowdown series up to kmax. Each k is a pair of
-		// independent contended/isolation runs; the batch streams through
-		// the experiment engine and folds straight into the series — in k
-		// order as points complete, so the series (and thus the derived
-		// period) is identical to a serial sweep.
-		type point struct {
-			slowdown    float64
-			utilization float64
-		}
-		kfirst := opt.KMin + len(res.Slowdowns)
-		err := exp.StreamN(context.Background(), runnerWorkers(r), kmax-kfirst+1, func(i int) (point, error) {
-			k := kfirst + i
-			cont, err := r.RunContended(opt.Type, k)
-			if err != nil {
-				return point{}, fmt.Errorf("core: contended run k=%d: %w", k, err)
-			}
-			isol, err := r.RunIsolation(opt.Type, k)
-			if err != nil {
-				return point{}, fmt.Errorf("core: isolation run k=%d: %w", k, err)
-			}
-			d := float64(cont.Cycles) - float64(isol.Cycles)
-			if cont.Requests > 0 {
-				d /= float64(cont.Requests)
-			}
-			return point{slowdown: d, utilization: cont.Utilization}, nil
-		}, exp.SinkFunc[point](func(_ int, p point) error {
-			res.Slowdowns = append(res.Slowdowns, p.slowdown)
-			if p.utilization < minUtil {
-				minUtil = p.utilization
-			}
-			return nil
-		}))
-		if err != nil {
-			return nil, err
-		}
-
-		if done := res.detect(opt, deltaNop); done {
-			break
-		}
-		if !opt.AutoExtend || kmax >= opt.KLimit {
-			break
-		}
-		kmax *= 2
-		if kmax > opt.KLimit {
-			kmax = opt.KLimit
-		}
-	}
-
-	res.finish(opt, minUtil)
-	if res.UBDm == 0 {
-		return res, fmt.Errorf("core: no saw-tooth period found in k=%d..%d (flat or aperiodic slowdown — is the arbiter round-robin?)",
-			opt.KMin, opt.KMin+len(res.Slowdowns)-1)
-	}
-	return res, nil
-}
-
-// DeriveFromSeries runs the detection half of the methodology on an
-// already-measured per-request slowdown series: Slowdowns[i] belongs to
+// DeriveFromSeries runs the detection half of the methodology on a
+// measured per-request slowdown series: Slowdowns[i] belongs to
 // k = opt.KMin + i, deltaNop is the measured per-nop injection increment,
 // and minUtil is the lowest bus utilization observed across the contended
-// runs. This is how sharded sweeps work: each shard measures its slice of
-// the k range (streamed to JSONL), the merged series is reassembled, and
-// the period detection — which needs the whole series — runs here at
-// merge time. Deriving from a serially-measured series and from merged
-// shard measurements yields identical results because every measurement
-// is an independent simulation keyed only by k.
+// runs. The series always comes from recorded rows (report.DerivationFrom
+// reassembles it from a derive block), so a live, store-served, sharded
+// or replayed sweep derives the same bound: every measurement is an
+// independent simulation keyed only by k. A result that does not yet
+// cover two full periods (EnoughPeriods false) asks its caller for a
+// longer sweep.
 func DeriveFromSeries(slowdowns []float64, deltaNop, minUtil float64, opt Options) (*Result, error) {
-	opt.fill()
+	opt = opt.WithDefaults()
 	if len(slowdowns) == 0 {
 		return nil, fmt.Errorf("core: empty slowdown series")
 	}
@@ -249,7 +150,7 @@ func DeriveFromSeries(slowdowns []float64, deltaNop, minUtil float64, opt Option
 		Methods:   make(map[PeriodMethod]int),
 	}
 	res.detect(opt, deltaNop)
-	res.finish(opt, minUtil)
+	res.finish(minUtil)
 	if res.UBDm == 0 {
 		return res, fmt.Errorf("core: no saw-tooth period found in k=%d..%d (flat or aperiodic slowdown — is the arbiter round-robin?)",
 			opt.KMin, opt.KMin+len(res.Slowdowns)-1)
@@ -257,9 +158,8 @@ func DeriveFromSeries(slowdowns []float64, deltaNop, minUtil float64, opt Option
 	return res, nil
 }
 
-// detect runs all detection methods over the current series and reports
-// whether a trustworthy estimate exists (enough periods observed).
-func (res *Result) detect(opt Options, deltaNop float64) bool {
+// detect runs all detection methods over the series.
+func (res *Result) detect(opt Options, deltaNop float64) {
 	d := res.Slowdowns
 	res.Methods[MethodExact] = 0
 	res.Methods[MethodAutocorr] = 0
@@ -278,31 +178,26 @@ func (res *Result) detect(opt Options, deltaNop float64) bool {
 	res.Methods[MethodAutocorr] = toCycles(AutocorrPeriod(d, 0.8))
 	res.Methods[MethodPeaks] = toCycles(PeakPeriod(d))
 
-	maxUBD := opt.MaxUBD
-	if maxUBD == 0 {
-		maxUBD = 4 * len(d)
-		if maxUBD < 16 {
-			maxUBD = 16
-		}
-	}
-	fitUBD, fitRes := ModelFitUBD(d, res.KMin, deltaNop, maxUBD)
+	fitUBD, fitRes := ModelFitUBD(d, res.KMin, deltaNop, maxUBD(len(d)))
 	if fitUBD > 0 && fitRes < 0.2 {
 		res.Methods[MethodModelFit] = fitUBD
 	}
 
 	res.PeriodK = exactK
-	if exactK == 0 {
-		return false
-	}
-	// Trustworthy once the sweep covers MinPeriods full periods.
-	return len(d) >= opt.MinPeriods*exactK+1
+}
+
+// EnoughPeriods reports whether the series covers two full periods of the
+// exact (Eq. 3) detector's period: the point at which the estimate is
+// trusted and an auto-extending sweep stops growing.
+func (res *Result) EnoughPeriods() bool {
+	return res.PeriodK > 0 && len(res.Slowdowns) >= minPeriods*res.PeriodK+1
 }
 
 // finish selects the final estimate and fills the confidence report.
-func (res *Result) finish(opt Options, minUtil float64) {
+func (res *Result) finish(minUtil float64) {
 	conf := Confidence{
 		MinUtilization: minUtil,
-		UtilizationOK:  minUtil >= opt.UtilizationMin,
+		UtilizationOK:  minUtil >= utilizationMin,
 	}
 	if math.IsInf(minUtil, 1) {
 		conf.MinUtilization = 0
@@ -347,13 +242,13 @@ func (res *Result) finish(opt Options, minUtil float64) {
 	if res.PeriodK > 0 {
 		conf.PeriodsObserved = float64(len(res.Slowdowns)) / float64(res.PeriodK)
 	}
-	if conf.PeriodsObserved < float64(opt.MinPeriods) {
-		conf.Notes = append(conf.Notes, fmt.Sprintf("only %.1f periods observed (want ≥ %d)", conf.PeriodsObserved, opt.MinPeriods))
+	if conf.PeriodsObserved < minPeriods {
+		conf.Notes = append(conf.Notes, fmt.Sprintf("only %.1f periods observed (want ≥ %d)", conf.PeriodsObserved, minPeriods))
 	}
 	if !conf.UtilizationOK {
 		conf.Notes = append(conf.Notes,
 			fmt.Sprintf("bus utilization %.0f%% below %.0f%%: contenders may not saturate the bus",
-				conf.MinUtilization*100, opt.UtilizationMin*100))
+				conf.MinUtilization*100, utilizationMin*100))
 	}
 	if !conf.MethodsAgree {
 		conf.Notes = append(conf.Notes, fmt.Sprintf("detection methods disagree: %v", res.Methods))

@@ -1,66 +1,101 @@
-package core
+package core_test
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"rrbus/internal/analytic"
-	"rrbus/internal/isa"
-	"rrbus/internal/sim"
+	"rrbus/internal/core"
+	"rrbus/internal/report"
+	"rrbus/internal/scenario"
 )
 
-// fakeRunner synthesizes observations from the analytic model: a platform
-// with the given ubd, base injection time delta0 and per-nop cost. It lets
-// the derivation logic be tested exhaustively without simulation cost.
-type fakeRunner struct {
-	cores      int
+// obs is one isolation-paired measurement: the numbers a recorded row
+// holds for rsk-nop(k) against Nc-1 rsk.
+type obs struct {
+	cycles, isolation, requests uint64
+	util                        float64
+}
+
+// fakePlatform synthesizes observations from the analytic model: a
+// platform with the given ubd, base injection time delta0 and per-nop
+// cost, whose per-request slowdown at k is exactly
+// analytic.Gamma(delta0+round(k·deltaNop), ubd). It lets the detection be
+// tested exhaustively without simulation cost.
+type fakePlatform struct {
 	ubd        int
 	delta0     int
 	deltaNop   float64
 	util       float64
 	requests   uint64
 	baseCycles uint64
-	// deriveErr, if set, is returned by MeasureDeltaNop.
-	deriveErr error
 }
 
-func (f *fakeRunner) Cores() int { return f.cores }
-
-func (f *fakeRunner) MeasureDeltaNop() (float64, error) {
-	if f.deriveErr != nil {
-		return 0, f.deriveErr
-	}
-	return f.deltaNop, nil
-}
-
-func (f *fakeRunner) RunContended(t isa.Op, k int) (Obs, error) {
-	delta := f.delta0 + int(float64(k)*f.deltaNop+0.5)
-	gamma := analytic.Gamma(delta, f.ubd)
-	return Obs{
-		Cycles:      f.baseCycles + uint64(k)*100 + f.requests*uint64(gamma),
-		Requests:    f.requests,
-		Utilization: f.util,
-	}, nil
-}
-
-func (f *fakeRunner) RunIsolation(t isa.Op, k int) (Obs, error) {
-	return Obs{Cycles: f.baseCycles + uint64(k)*100, Requests: f.requests, Utilization: 0.1}, nil
-}
-
-func newFake(ubd, delta0 int) *fakeRunner {
-	return &fakeRunner{
-		cores: 4, ubd: ubd, delta0: delta0, deltaNop: 1,
+func newFake(ubd, delta0 int) *fakePlatform {
+	return &fakePlatform{
+		ubd: ubd, delta0: delta0, deltaNop: 1,
 		util: 1.0, requests: 500, baseCycles: 100000,
 	}
+}
+
+func (f *fakePlatform) run(k int) obs {
+	delta := f.delta0 + int(float64(k)*f.deltaNop+0.5)
+	gamma := analytic.Gamma(delta, f.ubd)
+	isol := f.baseCycles + uint64(k)*100
+	return obs{cycles: isol + f.requests*uint64(gamma), isolation: isol, requests: f.requests, util: f.util}
+}
+
+// seriesOf reduces observations to the per-request slowdown series and
+// the lowest contended utilization, as report.DerivationFrom does with
+// recorded rows.
+func seriesOf(o []obs) ([]float64, float64) {
+	d := make([]float64, len(o))
+	minUtil := 1.0
+	for i, x := range o {
+		d[i] = float64(x.cycles) - float64(x.isolation)
+		if x.requests > 0 {
+			d[i] /= float64(x.requests)
+		}
+		minUtil = min(minUtil, x.util)
+	}
+	return d, minUtil
+}
+
+// derive detects over a sweep that grows the way the facade's
+// derivation extends it: measure k = KMin..kmax, detect, and double kmax
+// (up to KLimit) while the series covers fewer than two periods. A
+// non-nil noise jitters δnop first, then every measurement in order.
+func derive(measure func(k int) obs, deltaNop float64, noise *noisyRunner, opt core.Options) (*core.Result, error) {
+	opt = opt.WithDefaults()
+	if noise != nil {
+		deltaNop = noise.deltaNop(deltaNop)
+	}
+	var o []obs
+	for kmax := opt.KMax; ; kmax = min(2*kmax, opt.KLimit) {
+		for k := opt.KMin + len(o); k <= kmax; k++ {
+			x := measure(k)
+			if noise != nil {
+				x = noise.jitter(x)
+			}
+			o = append(o, x)
+		}
+		d, minUtil := seriesOf(o)
+		res, err := core.DeriveFromSeries(d, deltaNop, minUtil, opt)
+		if res == nil || res.EnoughPeriods() || kmax >= opt.KLimit {
+			return res, err
+		}
+	}
+}
+
+func deriveFake(f *fakePlatform, opt core.Options) (*core.Result, error) {
+	return derive(f.run, f.deltaNop, nil, opt)
 }
 
 func TestDeriveRecoversUBD(t *testing.T) {
 	for _, tc := range []struct{ ubd, delta0 int }{
 		{27, 1}, {27, 4}, {6, 1}, {9, 2}, {45, 3}, {14, 7},
 	} {
-		r := newFake(tc.ubd, tc.delta0)
-		res, err := Derive(r, Options{AutoExtend: true})
+		res, err := deriveFake(newFake(tc.ubd, tc.delta0), core.Options{})
 		if err != nil {
 			t.Fatalf("ubd=%d δ0=%d: %v", tc.ubd, tc.delta0, err)
 		}
@@ -77,15 +112,26 @@ func TestDeriveRecoversUBD(t *testing.T) {
 }
 
 func TestDeriveAutoExtends(t *testing.T) {
-	// ubd = 45 with an initial KMax of 20 must auto-extend until two
-	// full periods are observed.
-	r := newFake(45, 1)
-	res, err := Derive(r, Options{KMax: 20, AutoExtend: true})
+	// ubd = 45 from an initial KMax of 20: every sweep shorter than two
+	// full periods must ask for more, and the extended one must recover
+	// the bound.
+	f := newFake(45, 1)
+	for _, n := range []int{20, 40, 80} {
+		o := make([]obs, n)
+		for k := 1; k <= n; k++ {
+			o[k-1] = f.run(k)
+		}
+		d, minUtil := seriesOf(o)
+		if res, _ := core.DeriveFromSeries(d, 1, minUtil, core.Options{}); res.EnoughPeriods() {
+			t.Errorf("%d points of ubd 45 claim two full periods (period %d)", n, res.PeriodK)
+		}
+	}
+	res, err := deriveFake(f, core.Options{KMax: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.UBDm != 45 {
-		t.Errorf("derived %d", res.UBDm)
+	if res.UBDm != 45 || !res.EnoughPeriods() {
+		t.Errorf("derived %d, enough periods %v", res.UBDm, res.EnoughPeriods())
 	}
 	if len(res.Slowdowns) < 2*45 {
 		t.Errorf("sweep too short for two periods: %d", len(res.Slowdowns))
@@ -93,25 +139,26 @@ func TestDeriveAutoExtends(t *testing.T) {
 }
 
 func TestDeriveWithoutAutoExtendFailsOnShortSweep(t *testing.T) {
-	r := newFake(45, 1)
-	_, err := Derive(r, Options{KMax: 20, AutoExtend: false})
+	f := newFake(45, 1)
+	_, err := deriveFake(f, core.Options{KMax: 20, KLimit: 20})
 	if err == nil {
 		t.Error("short sweep without auto-extend must fail")
 	}
 }
 
 func TestDeriveRefusesSingleCore(t *testing.T) {
-	r := newFake(27, 1)
-	r.cores = 1
-	if _, err := Derive(r, Options{}); err == nil {
-		t.Error("single-core platform must be refused")
+	// Contention needs a contender: the derivation block of a single-core
+	// platform is refused before anything runs.
+	_, err := scenario.DerivePlan(scenario.PlatformSpec{Cores: 1}, "load", 1, 40)
+	if err == nil || !strings.Contains(err.Error(), "at least 2 cores") {
+		t.Errorf("single-core platform must be refused, got %v", err)
 	}
 }
 
 func TestDeriveReportsLowUtilization(t *testing.T) {
-	r := newFake(27, 1)
-	r.util = 0.7
-	res, err := Derive(r, Options{AutoExtend: true})
+	f := newFake(27, 1)
+	f.util = 0.7
+	res, err := deriveFake(f, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +170,7 @@ func TestDeriveReportsLowUtilization(t *testing.T) {
 	}
 	found := false
 	for _, n := range res.Confidence.Notes {
-		if strings.Contains(n, "utilization") {
+		if strings.Contains(n, "utilization 70% below 90%") {
 			found = true
 		}
 	}
@@ -133,41 +180,50 @@ func TestDeriveReportsLowUtilization(t *testing.T) {
 }
 
 func TestDeriveDeltaNopError(t *testing.T) {
-	r := newFake(27, 1)
-	r.deriveErr = fmt.Errorf("no PMC access")
-	if _, err := Derive(r, Options{}); err == nil || !strings.Contains(err.Error(), "δnop") {
-		t.Errorf("got %v", err)
+	// A δnop calibration that measured nothing usable must be refused,
+	// not divided by.
+	d, _ := seriesOf([]obs{newFake(27, 1).run(1), newFake(27, 1).run(2)})
+	for _, dn := range []float64{0, -1} {
+		if _, err := core.DeriveFromSeries(d, dn, 1, core.Options{}); err == nil || !strings.Contains(err.Error(), "δnop") {
+			t.Errorf("δnop %v: got %v", dn, err)
+		}
+	}
+	if _, err := core.DeriveFromSeries(nil, 1, 1, core.Options{}); err == nil {
+		t.Error("empty series must be refused")
 	}
 }
 
 func TestDeriveFlatSlowdownFails(t *testing.T) {
 	// A time-composable platform (e.g. TDMA): contended == isolation.
-	r := newFake(27, 1)
-	r.requests = 0 // no contention term at all
-	_, err := Derive(r, Options{AutoExtend: true, KLimit: 80})
-	if err == nil {
-		t.Error("flat slowdown must be refused")
+	f := newFake(27, 1)
+	f.requests = 0 // no contention term at all
+	res, err := deriveFake(f, core.Options{KLimit: 80})
+	if err == nil || !strings.Contains(err.Error(), "no saw-tooth period found in k=1..80") {
+		t.Errorf("flat slowdown must be refused at the KLimit, got %v", err)
+	}
+	if res == nil || len(res.Slowdowns) != 80 {
+		t.Error("the refused result must keep the capped series")
 	}
 }
 
 func TestDeriveDeltaNop2Aliasing(t *testing.T) {
 	// δnop = 2, ubd = 27: period-based reading gives 54; the model fit
 	// must override to 27 and the notes must say why.
-	r := newFake(27, 1)
-	r.deltaNop = 2
-	res, err := Derive(r, Options{AutoExtend: true, KLimit: 160})
+	f := newFake(27, 1)
+	f.deltaNop = 2
+	res, err := deriveFake(f, core.Options{KLimit: 160})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.UBDm != 27 {
 		t.Errorf("aliased derivation = %d, want 27", res.UBDm)
 	}
-	if res.Methods[MethodModelFit] != 27 {
-		t.Errorf("model fit = %d", res.Methods[MethodModelFit])
+	if res.Methods[core.MethodModelFit] != 27 {
+		t.Errorf("model fit = %d", res.Methods[core.MethodModelFit])
 	}
 	// The period-based exact method reads 54 here.
-	if res.Methods[MethodExact] != 54 {
-		t.Errorf("exact period reading = %d, want the aliased 54", res.Methods[MethodExact])
+	if res.Methods[core.MethodExact] != 54 {
+		t.Errorf("exact period reading = %d, want the aliased 54", res.Methods[core.MethodExact])
 	}
 	noted := false
 	for _, n := range res.Confidence.Notes {
@@ -183,9 +239,9 @@ func TestDeriveDeltaNop2Aliasing(t *testing.T) {
 func TestDeriveDeltaNop3Divides(t *testing.T) {
 	// δnop = 3 divides 27: the k-period is 9 and 9×3 = 27 reads
 	// correctly even without the model fit.
-	r := newFake(27, 1)
-	r.deltaNop = 3
-	res, err := Derive(r, Options{AutoExtend: true})
+	f := newFake(27, 1)
+	f.deltaNop = 3
+	res, err := deriveFake(f, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,29 +251,29 @@ func TestDeriveDeltaNop3Divides(t *testing.T) {
 }
 
 func TestResultPadAndETB(t *testing.T) {
-	res := &Result{UBDm: 27}
+	res := &core.Result{UBDm: 27}
 	if got := res.Pad(100); got != 2700 {
 		t.Errorf("Pad = %d", got)
 	}
 	if got := res.ETB(5000, 100); got != 7700 {
 		t.Errorf("ETB = %d", got)
 	}
-	empty := &Result{}
+	empty := &core.Result{}
 	if empty.Pad(100) != 0 || empty.ETB(5000, 100) != 5000 {
 		t.Error("zero UBDm must pad nothing")
 	}
 }
 
 func TestConfidenceScore(t *testing.T) {
-	full := Confidence{UtilizationOK: true, MethodsAgree: true, PeriodsObserved: 3}
+	full := core.Confidence{UtilizationOK: true, MethodsAgree: true, PeriodsObserved: 3}
 	if full.Score() != 1 {
 		t.Errorf("full score = %v", full.Score())
 	}
-	none := Confidence{}
+	none := core.Confidence{}
 	if none.Score() != 0 {
 		t.Errorf("empty score = %v", none.Score())
 	}
-	partial := Confidence{UtilizationOK: true, MethodsAgree: false, PeriodsObserved: 2}
+	partial := core.Confidence{UtilizationOK: true, MethodsAgree: false, PeriodsObserved: 2}
 	if s := partial.Score(); s <= 0.5 || s >= 1 {
 		t.Errorf("partial score = %v", s)
 	}
@@ -225,21 +281,45 @@ func TestConfidenceScore(t *testing.T) {
 
 // --- End-to-end on the real simulator (the paper's §5.3 headline) ---
 
+// recordDerivation records the derivation block for k = 1..80 on platform
+// — two full periods of every ubd these tests derive — as the rows a
+// Session would store.
+func recordDerivation(t *testing.T, platform scenario.PlatformSpec) ([]scenario.Job, []scenario.Result) {
+	t.Helper()
+	plan, err := scenario.DerivePlan(platform, "load", 1, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := scenario.RunAll(plan.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Jobs, results
+}
+
+// deriveOnSimulator re-derives the bound from recordDerivation's rows.
+func deriveOnSimulator(t *testing.T, platform scenario.PlatformSpec) *core.Result {
+	t.Helper()
+	d, err := report.DerivationFrom(recordDerivation(t, platform))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Err != nil {
+		t.Fatalf("%+v: %v", platform, d.Err)
+	}
+	return d.Res
+}
+
 func TestDeriveOnSimulatorRef(t *testing.T) {
-	r, err := NewSimRunner(sim.NGMPRef())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Derive(r, Options{AutoExtend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := deriveOnSimulator(t, scenario.PlatformSpec{Arch: "ref"})
 	if res.UBDm != 27 {
 		t.Errorf("ref: derived %d, actual 27", res.UBDm)
 	}
 	if res.PeriodK != 27 {
 		t.Errorf("ref: period %d", res.PeriodK)
 	}
+	// The calibration divides a long nop run by its nop count, so the
+	// loop overhead is diluted: δnop ≈ 1.
 	if res.DeltaNop < 0.99 || res.DeltaNop > 1.01 {
 		t.Errorf("ref: δnop = %.4f", res.DeltaNop)
 	}
@@ -249,15 +329,7 @@ func TestDeriveOnSimulatorRef(t *testing.T) {
 }
 
 func TestDeriveOnSimulatorVar(t *testing.T) {
-	r, err := NewSimRunner(sim.NGMPVar())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Derive(r, Options{AutoExtend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UBDm != 27 {
+	if res := deriveOnSimulator(t, scenario.PlatformSpec{Arch: "var"}); res.UBDm != 27 {
 		t.Errorf("var: derived %d, actual 27 (injection time must not matter)", res.UBDm)
 	}
 }
@@ -267,17 +339,8 @@ func TestDeriveOnScaledGeometry(t *testing.T) {
 		t.Skip("short mode")
 	}
 	// A different platform entirely: 6 cores, lbus = 5 → ubd = 25.
-	cfg := sim.Scaled(sim.NGMPRef(), 6, 2, 3)
-	r, err := NewSimRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Derive(r, Options{AutoExtend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UBDm != cfg.UBD() {
-		t.Errorf("derived %d, actual %d", res.UBDm, cfg.UBD())
+	if res := deriveOnSimulator(t, scenario.PlatformSpec{Arch: "ref", Cores: 6, Transfer: 2, L2Hit: 3}); res.UBDm != 25 {
+		t.Errorf("derived %d, actual 25", res.UBDm)
 	}
 }
 
@@ -289,73 +352,9 @@ func TestDeriveUnderWeightedRR(t *testing.T) {
 	// methodology reads (Nc-1)*lbus regardless of the weights — which
 	// is the correct per-request bound for these cores.
 	for _, weights := range [][]int{{2, 1, 1, 1}, {1, 2, 1, 1}, {1, 3, 3, 3}} {
-		cfg := sim.NGMPRef()
-		cfg.Arbiter = sim.ArbiterWRR
-		cfg.WRRWeights = weights
-		r, err := NewSimRunner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Derive(r, Options{AutoExtend: true})
-		if err != nil {
-			t.Fatalf("weights %v: %v", weights, err)
-		}
+		res := deriveOnSimulator(t, scenario.PlatformSpec{Arch: "ref", Arbiter: "wrr", WRRWeights: weights})
 		if res.UBDm != 27 {
 			t.Errorf("weights %v: derived %d, want 27", weights, res.UBDm)
 		}
-	}
-}
-
-func TestSimRunnerValidation(t *testing.T) {
-	bad := sim.NGMPRef()
-	bad.Cores = 0
-	if _, err := NewSimRunner(bad); err == nil {
-		t.Error("invalid config must fail")
-	}
-	r, err := NewSimRunner(sim.NGMPRef())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Cores() != 4 {
-		t.Errorf("cores = %d", r.Cores())
-	}
-	if r.Config().Name != "ngmp-ref" {
-		t.Error("config accessor")
-	}
-	dn, err := r.MeasureDeltaNop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dn < 0.99 || dn > 1.05 {
-		t.Errorf("δnop = %.4f, want ≈ 1 (loop overhead diluted)", dn)
-	}
-}
-
-func TestSimRunnerObservations(t *testing.T) {
-	r, err := NewSimRunner(sim.NGMPRef())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cont, err := r.RunContended(isa.OpLoad, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	isol, err := r.RunIsolation(isa.OpLoad, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cont.Cycles <= isol.Cycles {
-		t.Error("contention must slow the rsk down")
-	}
-	if cont.Utilization < 0.99 {
-		t.Errorf("contended utilization = %.3f", cont.Utilization)
-	}
-	if cont.Requests == 0 || isol.Requests == 0 {
-		t.Error("request counts missing")
-	}
-	// The per-request slowdown is γ(δrsk) = 26 on ref.
-	perReq := float64(cont.Cycles-isol.Cycles) / float64(cont.Requests)
-	if perReq < 25.5 || perReq > 26.5 {
-		t.Errorf("per-request slowdown = %.2f, want ≈ 26", perReq)
 	}
 }

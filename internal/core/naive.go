@@ -1,11 +1,5 @@
 package core
 
-import (
-	"fmt"
-
-	"rrbus/internal/isa"
-)
-
 // NaiveResult is the outcome of the prior state-of-the-art estimate the
 // paper argues against (§1, contributions 1-2): run the rsk against Nc-1
 // rsk copies and divide the slowdown by the number of requests.
@@ -20,31 +14,20 @@ type NaiveResult struct {
 	Utilization float64
 }
 
-// NaiveUBDM measures ubdm the pre-paper way: ubdm = det/nr with
-// det = ExecTime_contended − ExecTime_isolation for a plain rsk(t) against
-// Nc−1 rsk(t) copies. Because of the synchrony effect this converges to
-// γ(δrsk), which underestimates ubd by δrsk (26 vs 27 on the reference
-// NGMP, 23 vs 27 on the variant — Fig. 6(b)).
-func NaiveUBDM(r Runner, t isa.Op) (*NaiveResult, error) {
-	if r.Cores() < 2 {
-		return nil, fmt.Errorf("core: naive estimate needs at least 2 cores, platform has %d", r.Cores())
-	}
-	cont, err := r.RunContended(t, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: naive contended run: %w", err)
-	}
-	isol, err := r.RunIsolation(t, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: naive isolation run: %w", err)
-	}
-	det := int64(cont.Cycles) - int64(isol.Cycles)
-	res := &NaiveResult{Det: det, Requests: cont.Requests, Utilization: cont.Utilization}
-	if cont.Requests > 0 {
-		ratio := float64(det) / float64(cont.Requests)
+// NaiveFrom computes ubdm the pre-paper way from one isolation-paired run
+// of a plain rsk(t) against Nc−1 rsk(t) copies: ubdm = det/nr, with
+// det = ExecTime_contended − ExecTime_isolation and nr the scua's request
+// count. Because of the synchrony effect this converges to γ(δrsk), which
+// underestimates ubd by δrsk (26 vs 27 on the reference NGMP, 23 vs 27 on
+// the variant — Fig. 6(b)).
+func NaiveFrom(det int64, requests uint64, utilization float64) *NaiveResult {
+	res := &NaiveResult{Det: det, Requests: requests, Utilization: utilization}
+	if requests > 0 {
+		ratio := float64(det) / float64(requests)
 		if ratio < 0 {
 			ratio = 0
 		}
 		res.UBDm = int(ratio + 0.5)
 	}
-	return res, nil
+	return res
 }

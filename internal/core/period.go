@@ -1,9 +1,10 @@
 // Package core implements the paper's contribution: the measurement-based
 // methodology that derives the round-robin upper-bound delay ubd from the
 // saw-tooth period of rsk-nop slowdowns (§4), without knowing any bus
-// latency. It consumes a Runner — an abstraction of the target platform
-// offering only what a real COTS board offers: execution-time measurements
-// and two bus-utilization PMCs.
+// latency. It consumes only what a real COTS board offers — execution
+// times, a PMC request count and the bus-utilization PMCs — as recorded
+// rows; the sweeps that produce them run as plans through a store
+// Session.
 package core
 
 import (

@@ -301,9 +301,6 @@ func compareWithReference(d []float64, kmin int, deltaNop float64, maxUBD int) e
 	return nil
 }
 
-// defaultMaxUBD is the scan bound detect passes when Options.MaxUBD is 0.
-func defaultMaxUBD(n int) int { return max(16, 4*n) }
-
 // fitGolden is one fit DocumentFor runs while rendering a plan: the
 // slowdown series and fit arguments, with the ubd and residual < 0.2
 // verdict the original cubic fit returned.
@@ -364,7 +361,7 @@ func TestModelFitMatchesReference(t *testing.T) {
 		n := 4 + rng.Intn(3*ubd/dn+12)
 		noise := float64(rng.Intn(101))
 		d := sawtoothSeries(d0, dn, ubd, kmin, n, noise, int64(i))
-		if err := compareWithReference(d, kmin, float64(dn), defaultMaxUBD(n)); err != nil {
+		if err := compareWithReference(d, kmin, float64(dn), maxUBD(n)); err != nil {
 			t.Errorf("kmin=%d δnop=%d ubd=%d δ0=%d n=%d noise=%g: %v", kmin, dn, ubd, d0, n, noise, err)
 		}
 	}
@@ -383,7 +380,7 @@ func TestModelFitNegativeKMin(t *testing.T) {
 func TestModelFitAllocs(t *testing.T) {
 	for _, dn := range []int{1, 2} {
 		d := sawtoothSeries(1, dn, 27, 1, 81, 0, 1)
-		allocs := testing.AllocsPerRun(20, func() { ModelFitUBD(d, 1, float64(dn), defaultMaxUBD(len(d))) })
+		allocs := testing.AllocsPerRun(20, func() { ModelFitUBD(d, 1, float64(dn), maxUBD(len(d))) })
 		if allocs > 4 {
 			t.Errorf("δnop=%d: %.0f allocations per fit of 81 samples, want at most 4", dn, allocs)
 		}
@@ -402,7 +399,7 @@ func FuzzModelFitUBD(f *testing.F) {
 		d0 := int(d0Raw) % ubd
 		noise := float64(noiseRaw % 101)
 		d := sawtoothSeries(d0, dn, ubd, kmin, n, noise, seed)
-		maxUBD := defaultMaxUBD(n)
+		maxUBD := maxUBD(n)
 
 		got, res := ModelFitUBD(d, kmin, float64(dn), maxUBD)
 		if got != 0 && (got < 2 || got > min(maxUBD, n*dn/2)) {

@@ -1,13 +1,14 @@
-package core
+package core_test
 
 import (
 	"strings"
 	"testing"
+
+	"rrbus/internal/core"
 )
 
 func TestReportRendering(t *testing.T) {
-	r := newFake(27, 1)
-	res, err := Derive(r, Options{AutoExtend: true})
+	res, err := deriveFake(newFake(27, 1), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,9 +21,9 @@ func TestReportRendering(t *testing.T) {
 }
 
 func TestReportIncludesNotes(t *testing.T) {
-	r := newFake(27, 1)
-	r.util = 0.5
-	res, err := Derive(r, Options{AutoExtend: true})
+	f := newFake(27, 1)
+	f.util = 0.5
+	res, err := deriveFake(f, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestReportIncludesNotes(t *testing.T) {
 }
 
 func TestSawtoothPlot(t *testing.T) {
-	res := &Result{KMin: 1, Slowdowns: []float64{26, 25, 24, 23, 22, 26, 25, 24, 23, 22}}
+	res := &core.Result{KMin: 1, Slowdowns: []float64{26, 25, 24, 23, 22, 26, 25, 24, 23, 22}}
 	plot := res.SawtoothPlot(5)
 	if plot == "" {
 		t.Fatal("plot empty")
@@ -52,13 +53,13 @@ func TestSawtoothPlot(t *testing.T) {
 }
 
 func TestSawtoothPlotDegenerate(t *testing.T) {
-	if (&Result{Slowdowns: []float64{1}}).SawtoothPlot(8) != "" {
+	if (&core.Result{Slowdowns: []float64{1}}).SawtoothPlot(8) != "" {
 		t.Error("single point must not plot")
 	}
-	if (&Result{Slowdowns: []float64{5, 5, 5}}).SawtoothPlot(8) != "" {
+	if (&core.Result{Slowdowns: []float64{5, 5, 5}}).SawtoothPlot(8) != "" {
 		t.Error("flat series must not plot")
 	}
-	if (&Result{Slowdowns: []float64{1, 2, 3}}).SawtoothPlot(1) != "" {
+	if (&core.Result{Slowdowns: []float64{1, 2, 3}}).SawtoothPlot(1) != "" {
 		t.Error("single row must not plot")
 	}
 }
@@ -68,7 +69,7 @@ func TestSawtoothPlotWidthCap(t *testing.T) {
 	for i := range d {
 		d[i] = float64(i % 27)
 	}
-	res := &Result{KMin: 1, Slowdowns: d}
+	res := &core.Result{KMin: 1, Slowdowns: d}
 	plot := res.SawtoothPlot(8)
 	for _, line := range strings.Split(plot, "\n") {
 		if len(line) > 140 {

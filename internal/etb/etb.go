@@ -64,8 +64,8 @@ type Analyzer struct {
 }
 
 // NewAnalyzer builds an analyzer. ubdm is the derived per-request bound
-// (from core.Derive or a hardware measurement campaign); opts control the
-// measurement windows (zero values select the harness defaults).
+// (from rrbus.DeriveUBD or a hardware measurement campaign); opts control
+// the measurement windows (zero values select the harness defaults).
 func NewAnalyzer(cfg sim.Config, ubdm int, opts sim.RunOpts) (*Analyzer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

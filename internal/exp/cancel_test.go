@@ -31,7 +31,7 @@ func TestStreamCancelSerialDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var got []int
-	err := exp.StreamN(ctx, 1, 10, func(i int) (int, error) {
+	err := exp.StreamShard(ctx, exp.Shard{}, 1, 10, func(i int) (int, error) {
 		if i == 4 {
 			cancel()
 		}
@@ -53,7 +53,7 @@ func TestStreamCancelParallelDrains(t *testing.T) {
 	defer cancel()
 	const n = 40
 	var got []int
-	err := exp.StreamN(ctx, 4, n, func(i int) (int, error) {
+	err := exp.StreamShard(ctx, exp.Shard{}, 4, n, func(i int) (int, error) {
 		if i == 0 {
 			cancel()
 		} else {
@@ -83,7 +83,7 @@ func TestStreamPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		ran := 0
-		err := exp.StreamN(ctx, workers, 8, func(i int) (int, error) {
+		err := exp.StreamShard(ctx, exp.Shard{}, workers, 8, func(i int) (int, error) {
 			ran++
 			return i, nil
 		}, exp.SinkFunc[int](func(int, int) error { return nil }))
@@ -104,7 +104,7 @@ func TestStreamCancelAfterLastJobIsSuccess(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var got []int
-	err := exp.StreamN(ctx, 1, 3, func(i int) (int, error) {
+	err := exp.StreamShard(ctx, exp.Shard{}, 1, 3, func(i int) (int, error) {
 		if i == 2 {
 			cancel()
 		}
@@ -122,7 +122,7 @@ func TestStreamCancelAfterLastJobIsSuccess(t *testing.T) {
 func TestStreamNilContext(t *testing.T) {
 	var got []int
 	//lint:ignore SA1012 the nil context is the documented "no cancellation" form
-	if err := exp.StreamN(nil, 2, 5, func(i int) (int, error) { return i, nil }, collect(t, &got)); err != nil {
+	if err := exp.StreamShard(nil, exp.Shard{}, 2, 5, func(i int) (int, error) { return i, nil }, collect(t, &got)); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 5 {

@@ -17,13 +17,12 @@
 //   - Errors are reported deterministically: the error of the
 //     lowest-indexed failing job wins, regardless of scheduling.
 //
-// The streaming core (Stream, StreamShard, Sink) delivers results
+// The streaming core (StreamShard, Sink) delivers results
 // incrementally — each result reaches the sink as soon as its
 // predecessors have, not after the whole batch — so sweeps write JSONL
 // rows (JSONLSink) while later jobs are still running, and Shard splits
 // one job list deterministically across machines; the merged shard
-// outputs are byte-identical to an unsharded run (MergeJSONL). Map/MapN
-// are thin batch-collecting wrappers over the same core.
+// outputs are byte-identical to an unsharded run (MergeJSONL).
 //
 // The default worker count is GOMAXPROCS; CLIs expose it as -workers and
 // a value of 1 recovers the fully serial execution on the caller's
@@ -31,7 +30,6 @@
 package exp
 
 import (
-	"context"
 	"runtime"
 	"sync/atomic"
 )
@@ -40,10 +38,11 @@ var defaultWorkers atomic.Int64
 
 // active counts worker goroutines currently reserved by running batches.
 // Every parallel batch claims its workers from the shared Workers()
-// budget via an atomic compare-and-swap (reserve), so nested fan-out —
-// e.g. a Derive k-sweep inside an ablation job — shrinks to whatever
-// budget remains (typically serial execution on its own worker) instead
-// of multiplying concurrency to workers².
+// budget via an atomic compare-and-swap (reserve), so concurrent batches
+// — the sessions of several plans rrbus-serve runs at once, or a batch
+// nested inside another batch's job — shrink to whatever budget remains
+// (typically serial execution on their own goroutine) instead of
+// multiplying concurrency.
 var active atomic.Int64
 
 // reserve atomically claims up to want worker slots from the engine-wide
@@ -75,7 +74,7 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetWorkers installs the default worker count used by Map. Values < 1
+// SetWorkers installs the default worker count (Workers). Values < 1
 // reset to the GOMAXPROCS default. It is safe for concurrent use, but is
 // intended to be called once at startup (CLI -workers flag).
 func SetWorkers(n int) {
@@ -83,37 +82,4 @@ func SetWorkers(n int) {
 		n = 0
 	}
 	defaultWorkers.Store(int64(n))
-}
-
-// Map runs fn(0), fn(1), ..., fn(n-1) across the default worker pool and
-// returns the results ordered by index. See MapN.
-func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapN(Workers(), n, fn)
-}
-
-// MapN runs fn(0..n-1) across at most workers goroutines — further
-// bounded by the engine-wide Workers() budget, which parallel batches
-// share (a batch nested inside another batch's worker typically gets no
-// extra goroutines and runs serially) — and returns the n results ordered
-// by index. If any job fails, the error of the lowest-indexed failing job
-// is returned and the results are nil regardless of worker count: the
-// serial path stops at the first failure while the parallel path finishes
-// the batch, so partial results are deliberately not exposed.
-//
-// MapN is a thin batch-collecting wrapper over the streaming engine
-// (StreamShard); callers that can consume results incrementally should
-// stream instead of collecting.
-func MapN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	out := make([]T, n)
-	err := StreamShard(context.Background(), Shard{}, workers, n, fn, SinkFunc[T](func(i int, v T) error {
-		out[i] = v
-		return nil
-	}))
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

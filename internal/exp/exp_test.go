@@ -1,16 +1,35 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
 )
 
+// mapN collects a whole unsharded StreamShard batch in job order; nil
+// results on failure, like every batch caller that needs the complete
+// output.
+func mapN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+	var out []T
+	err := StreamShard(context.Background(), Shard{}, workers, n, fn, SinkFunc[T](func(i int, v T) error {
+		if i != len(out) {
+			return fmt.Errorf("job %d emitted after %d results", i, len(out))
+		}
+		out = append(out, v)
+		return nil
+	}))
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestMapNOrdering(t *testing.T) {
 	SetWorkers(16)
 	defer SetWorkers(0)
 	for _, workers := range []int{1, 2, 4, 16} {
-		out, err := MapN(workers, 100, func(i int) (int, error) { return i * i, nil })
+		out, err := mapN(workers, 100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -26,9 +45,10 @@ func TestMapNOrdering(t *testing.T) {
 }
 
 func TestMapNEmpty(t *testing.T) {
-	out, err := MapN(4, 0, func(int) (int, error) { return 0, nil })
-	if err != nil || out != nil {
-		t.Fatalf("empty batch: out=%v err=%v", out, err)
+	ran := false
+	out, err := mapN(4, 0, func(int) (int, error) { ran = true; return 0, nil })
+	if err != nil || out != nil || ran {
+		t.Fatalf("empty batch: out=%v err=%v ran=%v", out, err, ran)
 	}
 }
 
@@ -46,7 +66,7 @@ func TestMapNDeterministicError(t *testing.T) {
 	defer SetWorkers(0)
 	for _, workers := range []int{1, 2, 8} {
 		for trial := 0; trial < 10; trial++ {
-			_, err := MapN(workers, 50, fail)
+			_, err := mapN(workers, 50, fail)
 			if err == nil || err.Error() != want {
 				t.Fatalf("workers=%d: err = %v, want %q", workers, err, want)
 			}
@@ -60,7 +80,7 @@ func TestMapNBoundedWorkers(t *testing.T) {
 	SetWorkers(8)
 	defer SetWorkers(0)
 	var cur, peak atomic.Int64
-	_, err := MapN(3, 64, func(i int) (int, error) {
+	_, err := mapN(3, 64, func(i int) (int, error) {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -87,8 +107,8 @@ func TestNestedMapSharesBudget(t *testing.T) {
 	SetWorkers(4)
 	defer SetWorkers(0)
 	var cur, peak atomic.Int64
-	_, err := MapN(4, 8, func(int) (int, error) {
-		inner, err := MapN(4, 8, func(j int) (int, error) {
+	_, err := mapN(4, 8, func(int) (int, error) {
+		inner, err := mapN(4, 8, func(j int) (int, error) {
 			n := cur.Add(1)
 			for {
 				p := peak.Load()

@@ -86,19 +86,6 @@ type SinkFunc[T any] func(i int, v T) error
 // Emit implements Sink.
 func (f SinkFunc[T]) Emit(i int, v T) error { return f(i, v) }
 
-// Stream runs fn(0..n-1) across the default worker pool, delivering each
-// result to sink in job-index order as it becomes available. See
-// StreamShard for the full contract, including cancellation.
-func Stream[T any](ctx context.Context, n int, fn func(i int) (T, error), sink Sink[T]) error {
-	return StreamShard(ctx, Shard{}, Workers(), n, fn, sink)
-}
-
-// StreamN is Stream with an explicit worker bound (further limited by the
-// engine-wide Workers() budget, like MapN).
-func StreamN[T any](ctx context.Context, workers, n int, fn func(i int) (T, error), sink Sink[T]) error {
-	return StreamShard(ctx, Shard{}, workers, n, fn, sink)
-}
-
 // StreamShardCached is StreamShard with a read-through cache wrapped
 // around the job function: before job i runs, lookup(i) is consulted —
 // a hit serves the cached value and skips run(i) entirely; a miss runs
@@ -175,8 +162,9 @@ func StreamShardCached[T any](ctx context.Context, shard Shard, workers, n int,
 }
 
 // StreamShard runs this shard's subset of the jobs fn(0..n-1) across at
-// most workers goroutines and streams the results to sink. The contract
-// extends MapN's determinism to incremental delivery:
+// most workers goroutines — further bounded by the engine-wide Workers()
+// budget, which concurrent batches share — and streams the results to
+// sink in job order:
 //
 //   - sink.Emit(i, v) is called in ascending i, only for indices the
 //     shard owns, as soon as all owned predecessors have been emitted —
@@ -257,7 +245,7 @@ func StreamShard[T any](ctx context.Context, shard Shard, workers, n int, fn fun
 	done := make(chan slot, workers)
 	var next atomic.Int64
 	// failed tracks the lowest failing shard-local job seen so far; jobs
-	// beyond it are skipped, mirroring MapN.
+	// beyond it are skipped.
 	var failed atomic.Int64
 	failed.Store(int64(owned))
 	var wg sync.WaitGroup

@@ -16,7 +16,7 @@ func TestStreamOrderedDelivery(t *testing.T) {
 	const n = 64
 	for _, workers := range []int{1, 3, 8} {
 		var got []int
-		err := exp.StreamN(context.Background(), workers, n, func(i int) (int, error) {
+		err := exp.StreamShard(context.Background(), exp.Shard{}, workers, n, func(i int) (int, error) {
 			// Finish out of submission order to force the dispatcher to
 			// buffer and reorder.
 			time.Sleep(time.Duration((n-i)%5) * time.Millisecond)
@@ -46,7 +46,7 @@ func TestStreamErrorSemantics(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var emitted []int
-		err := exp.StreamN(context.Background(), workers, 20, func(i int) (int, error) {
+		err := exp.StreamShard(context.Background(), exp.Shard{}, workers, 20, func(i int) (int, error) {
 			if i == 7 {
 				return 0, fmt.Errorf("job %d: %w", i, boom)
 			}
@@ -70,7 +70,7 @@ func TestStreamSinkErrorAborts(t *testing.T) {
 	abort := errors.New("sink full")
 	for _, workers := range []int{1, 4} {
 		count := 0
-		err := exp.StreamN(context.Background(), workers, 50, func(i int) (int, error) { return i, nil },
+		err := exp.StreamShard(context.Background(), exp.Shard{}, workers, 50, func(i int) (int, error) { return i, nil },
 			exp.SinkFunc[int](func(i, v int) error {
 				count++
 				if i == 5 {

@@ -37,6 +37,12 @@ type Derivation struct {
 // calibration kernel, the platform's Eq. 1 ground truth — is rebuilt
 // from the declarative job specs; no simulation runs.
 func DerivationFrom(jobs []scenario.Job, results []scenario.Result) (*Derivation, error) {
+	return DerivationAt(jobs, results, 0)
+}
+
+// DerivationAt is DerivationFrom at an explicit Eq. 3 match tolerance
+// (core.Options.Tolerance; 0 selects the default).
+func DerivationAt(jobs []scenario.Job, results []scenario.Result, tolerance float64) (*Derivation, error) {
 	if len(jobs) != len(results) {
 		return nil, fmt.Errorf("report: %d results for %d jobs", len(results), len(jobs))
 	}
@@ -78,7 +84,7 @@ func DerivationFrom(jobs []scenario.Job, results []scenario.Result) (*Derivation
 	}
 
 	der := &Derivation{Cfg: cfg, Type: t, KMin: kmin, DeltaNop: deltaNop}
-	der.Res, der.Err = core.DeriveFromSeries(slowdowns, deltaNop, minUtil, core.Options{Type: t, KMin: kmin})
+	der.Res, der.Err = core.DeriveFromSeries(slowdowns, deltaNop, minUtil, core.Options{Type: t, KMin: kmin, Tolerance: tolerance})
 	return der, nil
 }
 

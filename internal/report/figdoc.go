@@ -163,15 +163,19 @@ func Fig7b(jobs []scenario.Job, results []scenario.Result) (*Document, error) {
 	), nil
 }
 
-// Derive renders the derivation report of a recorded derive block: the
-// paper's methodology outcome next to Eq. 1 ground truth.
+// Derive renders the derivation report of a recorded derive block.
 func Derive(jobs []scenario.Job, results []scenario.Result) (*Document, error) {
 	der, err := DerivationFrom(jobs, results)
 	if err != nil {
 		return nil, err
 	}
-	d := &Document{Title: "derivation"}
-	return d.Add(der.Bounds()), nil
+	return der.Document(), nil
+}
+
+// Document renders the derivation report: the paper's methodology
+// outcome next to Eq. 1 ground truth.
+func (d *Derivation) Document() *Document {
+	return (&Document{Title: "derivation"}).Add(d.Bounds())
 }
 
 // Bounds flattens the derivation into its typed document block.

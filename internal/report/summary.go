@@ -51,7 +51,7 @@ func summaryTable(rows []SummaryRow) Table {
 
 // SummaryDocument builds the headline table as a complete document
 // (heading included) — what rrbus-figures -fig table renders through
-// any backend. The rows come from the facade's in-process derivation
+// any backend. The rows come from the facade's derivation plans
 // (rrbus.Summary); this package only lays them out.
 func SummaryDocument(rows []SummaryRow) *Document {
 	d := &Document{Title: "Headline summary"}

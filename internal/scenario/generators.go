@@ -175,8 +175,8 @@ func coresOf(arch string) (int, error) {
 
 // sweepJobs expands the Fig. 7-shaped rsk-nop(typ, k) slowdown sweep on
 // arch: one isolation-paired job per k, IDs "<prefix>/k=<k>", at the
-// SimRunner protocol (unroll 2 so the loop structure is constant across
-// the sweep).
+// derivation's unroll (2, so the loop structure is constant across the
+// sweep).
 func sweepJobs(prefix, arch, typ string, kmin, kmax int, warmup, iters uint64) ([]Job, error) {
 	if typ != "load" && typ != "store" {
 		return nil, fmt.Errorf("type %q (want load|store)", typ)
@@ -198,7 +198,7 @@ func sweepJobs(prefix, arch, typ string, kmin, kmax int, warmup, iters uint64) (
 				Workload: WorkloadSpec{
 					Scua:       fmt.Sprintf("rsknop:%s:%d", typ, k),
 					Contenders: rskContenders(nc, typ),
-					Unroll:     2,
+					Unroll:     deriveUnroll,
 				},
 				Protocol: Protocol{Warmup: warmup, Iters: iters},
 			},
@@ -207,10 +207,21 @@ func sweepJobs(prefix, arch, typ string, kmin, kmax int, warmup, iters uint64) (
 	return jobs, nil
 }
 
+// The derivation protocol. The kernel builder is pinned to a small
+// constant unroll factor rather than the default "as large as fits IL1":
+// Eq. 3 compares slowdowns across different k, which is only meaningful
+// when every rsk-nop in the sweep performs the same loop structure, and
+// unroll 2 keeps rsk-nop bodies IL1-resident for every k a derivation
+// sweeps (k <= ~400 on NGMP-sized IL1s). Three warmup iterations warm L2
+// and lock the synchrony schedule before 20 measured ones.
+const deriveUnroll = 2
+
+var deriveProtocol = Protocol{Warmup: 3, Iters: 20}
+
 // deriveBlock expands one self-contained derivation block: the δnop
 // calibration job ("<prefix>/dnop") followed by the isolation-paired
-// rsk-nop(typ, k) jobs for k = 1..kmax on the given platform, all at the
-// SimRunner protocol. Renderers that re-derive bounds from recorded
+// rsk-nop(typ, k) jobs for k = kmin..kmax on the given platform, all at
+// the derivation protocol. Renderers that re-derive bounds from recorded
 // results (derive, abl-arb, abl-dnop, abl-scaling) need the calibration
 // row in-band: δnop is a measured quantity, not a constant.
 func deriveBlock(prefix string, platform PlatformSpec, typ string, kmin, kmax int) ([]Job, error) {
@@ -235,8 +246,8 @@ func deriveBlock(prefix string, platform PlatformSpec, typ string, kmin, kmax in
 		ID: prefix + "/dnop",
 		Scenario: Scenario{
 			Platform: platform,
-			Workload: WorkloadSpec{Scua: "nop", Unroll: 2},
-			Protocol: Protocol{Warmup: 3, Iters: 20},
+			Workload: WorkloadSpec{Scua: "nop", Unroll: deriveUnroll},
+			Protocol: deriveProtocol,
 		},
 	})
 	for k := kmin; k <= kmax; k++ {
@@ -248,13 +259,70 @@ func deriveBlock(prefix string, platform PlatformSpec, typ string, kmin, kmax in
 				Workload: WorkloadSpec{
 					Scua:       fmt.Sprintf("rsknop:%s:%d", typ, k),
 					Contenders: rskContenders(nc, typ),
-					Unroll:     2,
+					Unroll:     deriveUnroll,
 				},
-				Protocol: Protocol{Warmup: 3, Iters: 20},
+				Protocol: deriveProtocol,
 			},
 		})
 	}
 	return jobs, nil
+}
+
+// contentionPlatform builds the platform a contention measurement runs
+// on: the measured core plus at least one contender.
+func contentionPlatform(platform PlatformSpec) (sim.Config, error) {
+	cfg, err := platform.Build()
+	if err == nil && cfg.Cores < 2 {
+		err = fmt.Errorf("contention measurements need at least 2 cores, platform %s has %d", cfg.Name, cfg.Cores)
+	}
+	return cfg, err
+}
+
+// DerivePlan is the derive generator's block for any platform spec —
+// arbiter, nop latency and the other overrides the generator's params
+// cannot spell included — as an explicit plan named
+// "derive/<platform>/<typ>/k=<kmin>..<kmax>": the δnop calibration job,
+// then the isolation-paired rsk-nop(typ, k) jobs for k = kmin..kmax. Its
+// jobs hash like the generator's, so both share stored rows.
+func DerivePlan(platform PlatformSpec, typ string, kmin, kmax int) (*Plan, error) {
+	cfg, err := contentionPlatform(platform)
+	if err != nil {
+		return nil, err
+	}
+	prefix := fmt.Sprintf("derive/%s/%s", cfg.Name, typ)
+	jobs, err := deriveBlock(prefix, platform, typ, kmin, kmax)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{Name: fmt.Sprintf("%s/k=%d..%d", prefix, kmin, kmax), Jobs: jobs}, nil
+}
+
+// NaivePlan is the pre-paper measurement (§1) as a one-job plan: the
+// plain rsk — rsk-nop(typ, 0) — against Nc−1 rsk(typ), paired with its
+// isolation run, at the derivation protocol. Its det/nr (core.NaiveFrom)
+// converges to γ(δrsk), which underestimates ubd by the injection time.
+func NaivePlan(platform PlatformSpec, typ string) (*Plan, error) {
+	if typ != "load" && typ != "store" {
+		return nil, fmt.Errorf("type %q (want load|store)", typ)
+	}
+	cfg, err := contentionPlatform(platform)
+	if err != nil {
+		return nil, err
+	}
+	id := fmt.Sprintf("naive/%s/%s", cfg.Name, typ)
+	return &Plan{Name: id, Jobs: []Job{{
+		ID:        id,
+		Isolation: true,
+		Scenario: Scenario{
+			Platform: platform,
+			Workload: WorkloadSpec{
+				Scua:       fmt.Sprintf("rsknop:%s:0", typ),
+				Contenders: rskContenders(cfg.Cores, typ),
+				Unroll:     deriveUnroll,
+			},
+			Protocol: deriveProtocol,
+		},
+	}}}, nil
 }
 
 func init() {
@@ -486,8 +554,8 @@ func init() {
 	})
 
 	// derive: the methodology's measurement sweep — fig7-shaped jobs at
-	// the SimRunner protocol (unroll 2, warmup 3, 20 iters) for a fixed k
-	// range, preceded by the δnop calibration job at index 0. Detection
+	// the derivation protocol (unroll 2, warmup 3, 20 iters) for a fixed
+	// k range, preceded by the δnop calibration job at index 0. Detection
 	// runs over the merged series (core.DeriveFromSeries).
 	Register(Generator{
 		Name: "derive",
@@ -501,8 +569,9 @@ func init() {
 				Transfer: p.Int("transfer", 0),
 				L2Hit:    p.Int("l2hit", 0),
 			}
-			// The fixed range cannot auto-extend like the in-process
-			// Derive, so the default must already cover the >= 2 full
+			// A generator plan is one fixed range (the facade's
+			// auto-extending derivation compiles DerivePlan pass by
+			// pass), so the default must already cover the >= 2 full
 			// periods detection needs (ubd = 27 on the stock platforms).
 			return deriveBlock(fmt.Sprintf("derive/%s/%s", arch, typ), platform, typ,
 				p.Int("kmin", 1), p.Int("kmax", 80))

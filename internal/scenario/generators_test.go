@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"rrbus/internal/analytic"
-	"rrbus/internal/core"
 	"rrbus/internal/isa"
+	"rrbus/internal/kernel"
 	"rrbus/internal/scenario"
 	"rrbus/internal/sim"
 )
@@ -54,28 +54,39 @@ type sweepPoint struct {
 	utilization float64
 }
 
-// sweep is the in-process reference the fig7 generator is checked
+// sweep is the independent reference the fig7 generator is checked
 // against: the rsk-nop(t, k) slowdown for k = 1..kmax with iters measured
-// iterations per run, measured directly on a core.SimRunner rather than
+// iterations per run, built from the kernel builder (unroll 2, warmup 3)
+// and measured with sim.Run and sim.RunIsolation directly rather than
 // through scenario jobs.
 func sweep(t *testing.T, cfg sim.Config, typ isa.Op, kmax int, iters uint64) []sweepPoint {
 	t.Helper()
-	r, err := core.NewSimRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
+	b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
+	b.Unroll = 2
+	opts := sim.RunOpts{WarmupIters: 3, MeasureIters: iters}
+	var cont []*isa.Program
+	for c := 1; c < cfg.Cores; c++ {
+		p, err := b.RSK(c, typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cont = append(cont, p)
 	}
-	r.Iters = iters
 	pts := make([]sweepPoint, kmax)
 	for k := 1; k <= kmax; k++ {
-		cont, err := r.RunContended(typ, k)
+		scua, err := b.RSKNop(0, typ, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		isol, err := r.RunIsolation(typ, k)
+		m, err := sim.Run(cfg, sim.Workload{Scua: scua, Contenders: cont}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts[k-1] = sweepPoint{int64(cont.Cycles) - int64(isol.Cycles), cont.Utilization}
+		isol, err := sim.RunIsolation(cfg, scua, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[k-1] = sweepPoint{int64(m.Cycles) - int64(isol.Cycles), m.Utilization}
 	}
 	return pts
 }
@@ -131,6 +142,56 @@ func TestDeriveGeneratorShape(t *testing.T) {
 		if !jobs[k].Isolation {
 			t.Errorf("job %d not isolation-paired", k)
 		}
+	}
+}
+
+func TestDerivePlanSharesGeneratorRows(t *testing.T) {
+	// The facade's explicit derivation plans measure exactly what the
+	// derive generator's do, so both serve each other's stored rows.
+	gen := expand(t, "derive", scenario.Params{"arch": "toy", "cores": float64(3), "kmax": float64(5)})
+	plan, err := scenario.DerivePlan(scenario.PlatformSpec{Arch: "toy", Cores: 3}, "load", 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Name != "derive/toy-n3-l2/load/k=1..5" {
+		t.Errorf("plan name %q", plan.Name)
+	}
+	if len(plan.Jobs) != len(gen) {
+		t.Fatalf("%d jobs, generator has %d", len(plan.Jobs), len(gen))
+	}
+	for i, j := range plan.Jobs {
+		if j.Hash() != gen[i].Hash() {
+			t.Errorf("job %d (%s) hashes unlike the generator's %s", i, j.ID, gen[i].ID)
+		}
+	}
+}
+
+func TestNaivePlanShape(t *testing.T) {
+	plan, err := scenario.NaivePlan(scenario.PlatformSpec{Arch: "var"}, "load")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Jobs) != 1 {
+		t.Fatalf("naive plan has %d jobs", len(plan.Jobs))
+	}
+	job := plan.Jobs[0]
+	w := job.Scenario.Workload
+	if w.Scua != "rsknop:load:0" || !reflect.DeepEqual(w.Contenders, []string{"rsk:load", "rsk:load", "rsk:load"}) || !job.Isolation {
+		t.Errorf("naive job is not rsk against Nc-1 rsk, isolation-paired: %+v", job)
+	}
+	// The derivation protocol: the k = 1 job of a derive block differs
+	// only in its nop count.
+	block, err := scenario.DerivePlan(scenario.PlatformSpec{Arch: "var"}, "load", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1 := block.Jobs[1].Scenario
+	k1.Workload.Scua = w.Scua
+	if !reflect.DeepEqual(k1, job.Scenario) {
+		t.Errorf("naive scenario %+v, derive protocol %+v", job.Scenario, k1)
+	}
+	if _, err := scenario.NaivePlan(scenario.PlatformSpec{}, "ifetch"); err == nil {
+		t.Error("an unknown access type must be refused")
 	}
 }
 

@@ -128,7 +128,7 @@ type WorkloadSpec struct {
 	// Seed parameterizes profile generators (default 1).
 	Seed uint64 `json:"seed,omitempty"`
 	// Unroll overrides the kernel builder's unroll factor (0 = the
-	// builder default; sweeps pin 2 like core.SimRunner so the loop
+	// builder default; sweeps pin the derivation's 2 so the loop
 	// structure stays constant across k).
 	Unroll int `json:"unroll,omitempty"`
 }

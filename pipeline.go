@@ -20,6 +20,7 @@ package rrbus
 // callers of exactly this API.
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -286,37 +287,115 @@ func ImportResults(st Store, p *Plan, results []Result) error {
 	return nil
 }
 
-// Summary derives ubd on each configuration with both the methodology
-// (auto-extending in-process sweep) and the naive baseline — the
-// headline table. It uses load kernels: the store path is exercised by
-// Fig. 7(b), whose slowdown is flat beyond one tooth, so no period
-// exists to detect — exactly the paper's argument for using loads. The
-// configurations derive concurrently on the experiment engine's pool.
-func Summary(cfgs ...Config) ([]SummaryRow, error) {
-	return exp.Map(len(cfgs), func(i int) (SummaryRow, error) {
-		cfg := cfgs[i]
-		r, err := core.NewSimRunner(cfg)
+// RunDerivation runs the paper's full methodology (§4.2) on platform
+// through sess and returns the detection over the final pass. Each pass
+// compiles the derivation block — the δnop calibration job, then the
+// isolation-paired rsk-nop(t, k) jobs for k = KMin..kmax — as a plan and
+// runs it on sess. While the series covers fewer than two full saw-tooth
+// periods, the next pass doubles kmax, up to KLimit; a pass that finds no
+// period at all extends too, and only the final pass's detection failure
+// is reported (as the Derivation's Err). With a store on the session each
+// pass serves every k its predecessors simulated, so an extension
+// simulates only its new jobs; a storeless session re-simulates the whole
+// sweep on each extension. The error reports a pass that could not run:
+// an invalid or single-core platform, a store failure, a cancelled ctx.
+func RunDerivation(ctx context.Context, sess *Session, platform PlatformSpec, opt DeriveOptions) (*Derivation, error) {
+	opt = opt.WithDefaults()
+	for kmax := opt.KMax; ; kmax = min(2*kmax, opt.KLimit) {
+		spec, err := scenario.DerivePlan(platform, opName(opt.Type), opt.KMin, kmax)
 		if err != nil {
-			return SummaryRow{}, err
+			return nil, err
 		}
-		row := SummaryRow{Arch: cfg.Name, Type: "load", ActualUBD: cfg.UBD()}
-		res, err := core.Derive(r, core.Options{Type: OpLoad, AutoExtend: true})
+		results, err := runPlan(ctx, sess, spec)
 		if err != nil {
-			row.Err = err.Error()
+			return nil, err
 		}
-		if res != nil {
+		d, err := report.DerivationAt(spec.Jobs, results, opt.Tolerance)
+		if err != nil {
+			return nil, err
+		}
+		if d.Res == nil || d.Res.EnoughPeriods() || kmax >= opt.KLimit {
+			return d, nil
+		}
+	}
+}
+
+// DeriveUBD runs the methodology on platform through sess (see
+// RunDerivation) and returns the measured upper-bound delay with its
+// confidence report. A detection failure returns the partial result
+// alongside the error.
+func DeriveUBD(ctx context.Context, sess *Session, platform PlatformSpec, opt DeriveOptions) (*DeriveResult, error) {
+	d, err := RunDerivation(ctx, sess, platform, opt)
+	if err != nil {
+		return nil, err
+	}
+	return d.Res, d.Err
+}
+
+// NaiveUBDM measures the prior state-of-the-art estimate det/nr on
+// platform through sess, the baseline the paper improves on: a one-job
+// plan running the plain rsk(t) against Nc−1 rsk(t) copies, paired with
+// its isolation run, at the derivation's protocol.
+func NaiveUBDM(ctx context.Context, sess *Session, platform PlatformSpec, t Op) (*NaiveResult, error) {
+	spec, err := scenario.NaivePlan(platform, opName(t))
+	if err != nil {
+		return nil, err
+	}
+	results, err := runPlan(ctx, sess, spec)
+	if err != nil {
+		return nil, err
+	}
+	r := results[0]
+	return core.NaiveFrom(r.Slowdown, r.Requests, r.Utilization), nil
+}
+
+// runPlan compiles spec and runs it on sess.
+func runPlan(ctx context.Context, sess *Session, spec *PlanSpec) ([]Result, error) {
+	plan, err := scenario.Compile(spec)
+	if err != nil {
+		return nil, err
+	}
+	return sess.RunAllContext(ctx, plan)
+}
+
+// opName spells a kernel access type the way job specs do.
+func opName(t Op) string {
+	if t == OpStore {
+		return "store"
+	}
+	return "load"
+}
+
+// Summary derives ubd on each platform in turn with both the methodology
+// and the naive baseline, every run through sess — the headline table. It
+// uses load kernels: the store path is exercised by Fig. 7(b), whose
+// slowdown is flat beyond one tooth, so no period exists to detect —
+// exactly the paper's argument for using loads.
+func Summary(ctx context.Context, sess *Session, platforms ...PlatformSpec) ([]SummaryRow, error) {
+	rows := make([]SummaryRow, 0, len(platforms))
+	for _, p := range platforms {
+		d, err := RunDerivation(ctx, sess, p, DeriveOptions{Type: OpLoad})
+		if err != nil {
+			return nil, err
+		}
+		row := SummaryRow{Arch: d.Cfg.Name, Type: "load", ActualUBD: d.Cfg.UBD()}
+		if d.Err != nil {
+			row.Err = d.Err.Error()
+		}
+		if res := d.Res; res != nil {
 			row.DerivedUBDm = res.UBDm
 			row.PeriodK = res.PeriodK
 			row.DeltaNop = res.DeltaNop
 			row.Confidence = res.Confidence.Score()
 		}
-		nv, err := core.NaiveUBDM(r, OpLoad)
+		nv, err := NaiveUBDM(ctx, sess, p, OpLoad)
 		if err != nil {
-			return SummaryRow{}, err
+			return nil, err
 		}
 		row.NaiveUBDm = nv.UBDm
-		return row, nil
-	})
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // SummaryDocument builds the headline table as a complete document

@@ -44,10 +44,6 @@ type (
 	DeriveResult = core.Result
 	// NaiveResult carries the prior state-of-the-art det/nr estimate.
 	NaiveResult = core.NaiveResult
-	// Runner abstracts the measured platform (simulator or hardware).
-	Runner = core.Runner
-	// SimRunner is the simulator-backed Runner.
-	SimRunner = core.SimRunner
 	// Confidence is the §4.3 confidence report of a derivation.
 	Confidence = core.Confidence
 
@@ -71,10 +67,6 @@ type (
 	Analyzer = etb.Analyzer
 	// ETBReport collects bounds and validations for rendering.
 	ETBReport = etb.Report
-
-	// NoisyRunner wraps a Runner with deterministic measurement jitter,
-	// for robustness studies against real-board noise.
-	NoisyRunner = core.NoisyRunner
 )
 
 // Instruction classes.
@@ -128,39 +120,6 @@ func ScaledConfig(cfg Config, cores, transferLat, l2HitLat int) Config {
 	return sim.Scaled(cfg, cores, transferLat, l2HitLat)
 }
 
-// NewRunner builds the simulator-backed measurement runner for cfg.
-func NewRunner(cfg Config) (*SimRunner, error) { return core.NewSimRunner(cfg) }
-
-// DeriveUBD runs the paper's full methodology (§4.2) on cfg's simulated
-// platform and returns the measured upper-bound delay with its confidence
-// report.
-func DeriveUBD(cfg Config, opt DeriveOptions) (*DeriveResult, error) {
-	r, err := core.NewSimRunner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	opt.AutoExtend = true
-	return core.Derive(r, opt)
-}
-
-// Derive runs the methodology on an arbitrary Runner (e.g. a hardware
-// harness).
-func Derive(r Runner, opt DeriveOptions) (*DeriveResult, error) { return core.Derive(r, opt) }
-
-// NaiveUBDM measures the prior state-of-the-art estimate det/nr on cfg,
-// the baseline the paper improves on.
-func NaiveUBDM(cfg Config, t Op) (*NaiveResult, error) {
-	r, err := core.NewSimRunner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return core.NaiveUBDM(r, t)
-}
-
-// NaiveUBDMFor measures the naive det/nr estimate on an existing Runner
-// (reusing the runner a derivation already built).
-func NaiveUBDMFor(r Runner, t Op) (*NaiveResult, error) { return core.NaiveUBDM(r, t) }
-
 // Run executes a workload on cfg and measures the scua.
 func Run(cfg Config, w Workload, opt RunOpts) (*Measurement, error) { return sim.Run(cfg, w, opt) }
 
@@ -212,9 +171,3 @@ func NewAnalyzer(cfg Config, ubdm int, opts RunOpts) (*Analyzer, error) {
 
 // NewETBReport creates an empty bound/validation report for cfg.
 func NewETBReport(cfg Config, ubdm int) *ETBReport { return etb.NewReport(cfg, ubdm) }
-
-// NewNoisyRunner wraps r with additive measurement jitter up to amplitude
-// cycles (deterministic; seed 0 selects a default).
-func NewNoisyRunner(r Runner, amplitude, seed uint64) (*NoisyRunner, error) {
-	return core.NewNoisyRunner(r, amplitude, seed)
-}

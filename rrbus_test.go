@@ -1,7 +1,9 @@
 package rrbus_test
 
 import (
+	"context"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,14 +93,17 @@ func TestFacadeKernelsAndRun(t *testing.T) {
 }
 
 func TestFacadeDeriveEndToEnd(t *testing.T) {
-	res, err := rrbus.DeriveUBD(rrbus.ReferenceNGMP(), rrbus.DeriveOptions{})
+	ctx := context.Background()
+	sess := &rrbus.Session{Store: rrbus.NewMemStore()}
+	ref := rrbus.PlatformSpec{Arch: "ref"}
+	res, err := rrbus.DeriveUBD(ctx, sess, ref, rrbus.DeriveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.UBDm != 27 {
 		t.Errorf("derived %d", res.UBDm)
 	}
-	nv, err := rrbus.NaiveUBDM(rrbus.ReferenceNGMP(), rrbus.OpLoad)
+	nv, err := rrbus.NaiveUBDM(ctx, sess, ref, rrbus.OpLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,20 +113,69 @@ func TestFacadeDeriveEndToEnd(t *testing.T) {
 	if res.ETB(1000, 10) != 1000+10*27 {
 		t.Error("ETB arithmetic")
 	}
+	// Both ran as plans through the session: 41 derivation jobs at
+	// kmax 40, the 40 new ones at kmax 80, and the naive job.
+	if sim, hits := sess.Simulated(), sess.StoreHits(); sim != 82 || hits != 41 {
+		t.Errorf("session simulated %d and served %d, want 82 and 41", sim, hits)
+	}
 }
 
-func TestFacadeCustomRunner(t *testing.T) {
-	r, err := rrbus.NewRunner(rrbus.ReferenceNGMP())
+// passCounter is a MemStore that counts the rows each plan run records:
+// the jobs a derivation pass had to simulate. Each run records its plan
+// first, which opens the next pass's count.
+type passCounter struct {
+	*rrbus.MemStore
+	simulated []int
+}
+
+func (p *passCounter) PutPlan(*rrbus.Plan) error {
+	p.simulated = append(p.simulated, 0)
+	return nil
+}
+
+func (p *passCounter) Put(jobHash string, r rrbus.Result) error {
+	p.simulated[len(p.simulated)-1]++
+	return p.MemStore.Put(jobHash, r)
+}
+
+// TestDeriveExtendsIncrementally pins the auto-extension: on a 6-core
+// platform with lbus 15 (ubd 75) the kmax 40 and 80 passes see fewer
+// than two periods, so the derivation runs to kmax 160, and each pass
+// simulates only the k its predecessors did not.
+func TestDeriveExtendsIncrementally(t *testing.T) {
+	st := &passCounter{MemStore: rrbus.NewMemStore()}
+	sess := &rrbus.Session{Store: st}
+	res, err := rrbus.DeriveUBD(context.Background(), sess, rrbus.PlatformSpec{Cores: 6, L2Hit: 12}, rrbus.DeriveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The generic Derive accepts any Runner implementation.
-	res, err := rrbus.Derive(r, rrbus.DeriveOptions{AutoExtend: true})
-	if err != nil {
-		t.Fatal(err)
+	if res.UBDm != 75 || len(res.Slowdowns) != 160 || res.Confidence.Score() != 1 {
+		t.Errorf("derived %d over %d points (confidence %.2f), want 75 over 160 at 1",
+			res.UBDm, len(res.Slowdowns), res.Confidence.Score())
 	}
-	if res.UBDm != 27 {
-		t.Errorf("derived %d", res.UBDm)
+	if want := []int{41, 40, 80}; !slices.Equal(st.simulated, want) {
+		t.Errorf("passes simulated %v jobs, want %v", st.simulated, want)
+	}
+	if sim, hits := sess.Simulated(), sess.StoreHits(); sim != 161 || hits != 41+81 {
+		t.Errorf("session simulated %d and served %d, want 161 and 122", sim, hits)
+	}
+}
+
+// TestDeriveKLimitCapsFlatSweep: a TDMA bus shows no saw-tooth, so the
+// derivation extends until KLimit and reports the detection failure of
+// that last pass alongside its result.
+func TestDeriveKLimitCapsFlatSweep(t *testing.T) {
+	sess := &rrbus.Session{Store: rrbus.NewMemStore()}
+	res, err := rrbus.DeriveUBD(context.Background(), sess, rrbus.PlatformSpec{Arbiter: "tdma"}, rrbus.DeriveOptions{KLimit: 80})
+	want := "core: no saw-tooth period found in k=1..80 (flat or aperiodic slowdown — is the arbiter round-robin?)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if res == nil || len(res.Slowdowns) != 80 {
+		t.Error("the failed derivation must return the capped sweep's result")
+	}
+	if sim := sess.Simulated(); sim != 81 {
+		t.Errorf("simulated %d jobs, want 81 (each k once)", sim)
 	}
 }
 
@@ -368,26 +422,5 @@ func TestFacadeDocumentAPI(t *testing.T) {
 	// The generic results table renders identically via both spellings.
 	if rrbus.RenderResultsTable(results) != rrbus.ResultsTableDocument(results).Text() {
 		t.Error("results table spellings diverge")
-	}
-}
-
-func TestFacadeNoisyRunner(t *testing.T) {
-	inner, err := rrbus.NewRunner(rrbus.ReferenceNGMP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := rrbus.NewNoisyRunner(inner, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rrbus.Derive(n, rrbus.DeriveOptions{AutoExtend: true, Tolerance: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UBDm != 27 {
-		t.Errorf("noisy derivation = %d", res.UBDm)
-	}
-	if res.Report() == "" {
-		t.Error("report rendering")
 	}
 }

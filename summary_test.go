@@ -1,6 +1,7 @@
 package rrbus_test
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -26,7 +27,8 @@ func summaryTableText(t *testing.T, rows []rrbus.SummaryRow) string {
 }
 
 func TestSummaryTable(t *testing.T) {
-	rows, err := rrbus.Summary(rrbus.ReferenceNGMP(), rrbus.VariantNGMP())
+	sess := &rrbus.Session{Store: rrbus.NewMemStore()}
+	rows, err := rrbus.Summary(context.Background(), sess, rrbus.PlatformSpec{Arch: "ref"}, rrbus.PlatformSpec{Arch: "var"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +63,8 @@ func TestSummaryTable(t *testing.T) {
 // whose derivation sweep is cheap). The golden sits with the other
 // report goldens; the derivation that fills the rows lives here.
 func TestSummaryGolden(t *testing.T) {
-	toy, err := rrbus.PlatformByName("toy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := rrbus.Summary(toy)
+	sess := &rrbus.Session{Store: rrbus.NewMemStore()}
+	rows, err := rrbus.Summary(context.Background(), sess, rrbus.PlatformSpec{Arch: "toy"})
 	if err != nil {
 		t.Fatal(err)
 	}
