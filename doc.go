@@ -293,10 +293,12 @@
 // sweep reuses the rows a Fig. 7 sweep recorded even though their job
 // IDs differ. Stored entries carry a checksum and a schema version: a
 // bit-flipped entry or an archive written by a newer build surfaces as
-// an error, never as a silently wrong bound. The CLIs expose all of
-// this as -store <dir>; CI re-runs a sweep against a warm store every
-// push and asserts it simulates nothing while rendering identical
-// bytes.
+// an error, never as a silently wrong bound. A warm re-run reads the
+// store and writes nothing: a plan manifest is rewritten only when its
+// bytes change (a new name for the plan, or a damaged file). The CLIs
+// expose all of this as -store <dir>; CI re-runs a sweep against a warm
+// store every push and asserts it simulates nothing, leaves every file
+// of the store untouched and renders identical bytes.
 //
 // The store is auditable: cmd/rrbus-store lists a directory's recorded
 // plan manifests with their current row coverage (`rrbus-store ls`) and

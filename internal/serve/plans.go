@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"unicode/utf8"
 
 	"rrbus/internal/report"
 	"rrbus/internal/store"
@@ -17,12 +18,19 @@ import (
 func PlansDocument(label string, infos []store.PlanInfo, rows int) *report.Document {
 	doc := &report.Document{Title: "store " + label}
 	doc.Add(report.Heading{Level: 1, Text: fmt.Sprintf("store %s: %d plans, %d rows", label, len(infos), rows)})
+	// The name column is as wide as the longest name, at least 20, so a
+	// long plan name (a derivation pass's `derive/<arch>/<type>/k=1..N`)
+	// does not push the columns after it out of line.
+	nameWidth := 20
+	for _, p := range infos {
+		nameWidth = max(nameWidth, utf8.RuneCountInString(p.Name))
+	}
 	t := report.Table{
 		Name:   "plans",
-		Header: "plan          name                  generator    jobs  present  coverage",
+		Header: fmt.Sprintf("plan          %-*s  generator    jobs  present  coverage", nameWidth, "name"),
 		Columns: []report.Column{
 			{Key: "hash", Label: "plan", Format: "%-12.12s"},
-			{Key: "name", Label: "name", Format: "  %-20s"},
+			{Key: "name", Label: "name", Format: fmt.Sprintf("  %%-%ds", nameWidth)},
 			{Key: "generator", Label: "generator", Format: "  %-11s"},
 			{Key: "jobs", Label: "jobs", Format: "  %4d"},
 			{Key: "present", Label: "present", Format: "  %7d"},

@@ -18,6 +18,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -172,7 +173,9 @@ func sumOf(jobHash string, row []byte) string {
 //
 // Entries are written atomically (temp file + rename), so concurrent
 // sessions — even separate processes sharding one sweep — can share a
-// root; at worst two writers race to create the identical entry.
+// root; at worst two writers race to create the identical entry. A plan
+// manifest is written only when its bytes change, so a warm re-run of a
+// recorded plan reads the store and writes nothing.
 type Dir struct {
 	root string
 }
@@ -308,6 +311,13 @@ func marshalEntry(jobHash string, r scenario.Result) ([]byte, error) {
 // declarative spec alongside its job hashes, which is what lets repair
 // re-simulate a quarantined or missing row from the plans that
 // reference it.
+//
+// The manifest is written only when its bytes change: a file already
+// holding exactly these bytes is left in place. The comparison is of
+// bytes, not of existence, because the plan hash covers only the job
+// hashes — a second name or spelling of the same plan still rewrites the
+// manifest (the last writer wins), and a damaged or deleted manifest is
+// healed by the next run. Any read failure falls through to the write.
 func (d *Dir) PutPlan(c *scenario.Compiled) error {
 	m := planManifest{
 		Schema:    scenario.ResultSchema,
@@ -321,7 +331,12 @@ func (d *Dir) PutPlan(c *scenario.Compiled) error {
 	if err != nil {
 		return fmt.Errorf("store: marshal plan %s: %w", c.Hash(), err)
 	}
-	return d.writeAtomic(filepath.Join(d.root, "plans", c.Hash()+".json"), append(data, '\n'))
+	data = append(data, '\n')
+	path := filepath.Join(d.root, "plans", c.Hash()+".json")
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, data) {
+		return nil
+	}
+	return d.writeAtomic(path, data)
 }
 
 // Plans lists the plan hashes recorded in the store, in lexical order.

@@ -362,6 +362,143 @@ func TestDirStorePlanManifests(t *testing.T) {
 	}
 }
 
+// statTree walks root and stats every path under it, directories
+// included (a rename inside plans/ moves the directory's mtime).
+func statTree(t *testing.T, root string) map[string]os.FileInfo {
+	t.Helper()
+	out := map[string]os.FileInfo{}
+	err := filepath.WalkDir(root, func(p string, de os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		info, err := de.Info()
+		if err != nil {
+			return err
+		}
+		out[p] = info
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestWarmRunWritesNothing checks that a warm re-run only reads a
+// directory store: every path keeps its inode and mtime, and no path
+// appears or disappears — the recorded plan manifest is left in place.
+func TestWarmRunWritesNothing(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "results")
+	d, err := store.OpenDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := compileFig7(t, 4)
+	runAll(t, d, c)
+	before := statTree(t, root)
+
+	if _, _, warm := runAll(t, d, c); warm.Simulated() != 0 {
+		t.Fatalf("warm run simulated %d jobs", warm.Simulated())
+	}
+	after := statTree(t, root)
+	if len(after) != len(before) {
+		t.Errorf("warm run changed the tree from %d to %d paths", len(before), len(after))
+	}
+	for p, b := range before {
+		a, ok := after[p]
+		switch {
+		case !ok:
+			t.Errorf("%s: removed by the warm run", p)
+		case !os.SameFile(a, b):
+			t.Errorf("%s: replaced by the warm run (new inode)", p)
+		case !a.ModTime().Equal(b.ModTime()):
+			t.Errorf("%s: modified by the warm run (mtime %v → %v)", p, b.ModTime(), a.ModTime())
+		}
+	}
+}
+
+// TestPlanManifestLastWriterWins checks that the manifest skip compares
+// bytes, not existence: a plan hash covers only the job hashes, so the
+// same plan recorded under a second name shares the manifest path, and
+// the second run must rewrite it.
+func TestPlanManifestLastWriterWins(t *testing.T) {
+	d, err := store.OpenDir(filepath.Join(t.TempDir(), "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := compileFig7(t, 3)
+	runAll(t, d, c)
+	renamed, err := scenario.Compile(&scenario.Plan{Name: "fig7-renamed", Generator: c.Spec.Generator, Params: c.Spec.Params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renamed.Hash() != c.Hash() {
+		t.Fatalf("renamed plan hash %s, want %s", renamed.Hash(), c.Hash())
+	}
+	if got := d.PlanInfo(c.Hash()).Name; got != "fig7" {
+		t.Fatalf("first run recorded name %q, want fig7", got)
+	}
+	runAll(t, d, renamed)
+	if got := d.PlanInfo(c.Hash()).Name; got != "fig7-renamed" {
+		t.Errorf("after the renamed run the manifest names %q, want fig7-renamed", got)
+	}
+}
+
+// TestDamagedPlanManifestRewritten checks that a manifest damaged out of
+// band differs from the fresh bytes, so the next run rewrites it and the
+// store audits clean again.
+func TestDamagedPlanManifestRewritten(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(data []byte) []byte
+	}{
+		{"truncated", func(data []byte) []byte { return data[:len(data)/2] }},
+		{"future-schema", func(data []byte) []byte {
+			return bytes.Replace(data, []byte(`"schema": 1,`), []byte(`"schema": 99,`), 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := store.OpenDir(filepath.Join(t.TempDir(), "results"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := compileFig7(t, 3)
+			runAll(t, d, c)
+			path := filepath.Join(d.Root(), "plans", c.Hash()+".json")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damaged := tc.damage(data)
+			if bytes.Equal(damaged, data) {
+				t.Fatal("damage left the manifest unchanged")
+			}
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if rep, err := d.Verify(); err != nil || rep.OK() {
+				t.Fatalf("verify before the re-run: %+v, %v; want the damaged manifest reported", rep, err)
+			}
+
+			runAll(t, d, c)
+			healed, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(healed, data) {
+				t.Errorf("re-run left the manifest as\n%s\nwant\n%s", healed, data)
+			}
+			rep, err := d.Verify()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Errorf("verify after the re-run: %+v", rep.Issues)
+			}
+		})
+	}
+}
+
 // TestSessionRunAllRefusesShard checks RunAll's partial-series guard: a
 // sharded session must stream to a sink, not collect a series with rows
 // missing by construction.
