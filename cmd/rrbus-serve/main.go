@@ -2,17 +2,17 @@
 // HTTP server over a content-addressed results store. Clients POST plan
 // JSON (the same syntax a scenario file holds — a generator invocation,
 // an explicit job list or a single scenario); the server compiles it to
-// content hashes, simulates only the rows the store is missing through a
-// bounded store-aware Session, and serves the rendered bound documents
-// through the report backends. A fully recorded ("warm") plan renders
-// with zero simulation, byte-identical to the equivalent CLI render.
+// content hashes, queues only the jobs whose rows the store is missing,
+// and serves the rendered bound documents through the report backends.
+// A fully recorded ("warm") plan renders with zero simulation,
+// byte-identical to the equivalent CLI render.
 //
 // Endpoints:
 //
 //	POST /v1/plans             submit a plan; returns 202 + status JSON
 //	GET  /v1/plans             list submitted plans
 //	GET  /v1/plans/<hash>      status: queued/simulating/complete plus the
-//	                           session's Simulated/StoreHits/Quarantined/
+//	                           run's Simulated/StoreHits/Quarantined/
 //	                           Repaired counters and queue gauges
 //	GET  /v1/plans/<hash>/doc  rendered document; ?format=text|html|json,
 //	                           plan content hash as ETag
@@ -24,20 +24,22 @@
 //	GET  /healthz              liveness; 503 once a drain begins, so load
 //	                           balancers and workers stop routing here
 //
-// With -distribute the server is a coordinator: missing jobs are leased
-// to rrbus-worker daemons over POST /v1/work/{register,lease,results}
-// instead of simulated locally — expired or abandoned leases requeue
-// automatically, so a killed worker never strands a sweep.
+// Missing jobs go on one work queue. By default in-process workers
+// simulate them: -plans × -workers at once (GOMAXPROCS with -workers 0).
+// With -distribute the server is a coordinator instead: rrbus-worker
+// daemons lease the jobs over POST /v1/work/{register,lease,results} —
+// expired or abandoned leases requeue automatically, so a killed worker
+// never strands a sweep.
 //
 // Concurrent duplicate submissions are deduplicated at two levels: a
-// plan already queued or running is never started twice, and overlapping
-// plans share a claim table so a missing job hash simulates at most once
-// across all in-flight sessions.
+// plan already queued or running is never started twice, and the queue
+// tracks each missing job hash once, so overlapping plans wait on one
+// row and a job simulates at most once.
 //
-// The first SIGINT/SIGTERM drains gracefully: the listener stops,
-// in-flight jobs finish and their rows are recorded (interrupted plans
-// resubmit warm), and the session totals are printed. A second signal
-// kills the process.
+// The first SIGINT/SIGTERM drains gracefully: the listener stops, the
+// jobs in-process workers hold finish and their rows are recorded
+// (interrupted plans resubmit warm), and the totals are printed. A
+// second signal kills the process.
 //
 // Usage:
 //
@@ -62,8 +64,8 @@ const prog cli.Program = "rrbus-serve"
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8077", "listen address")
 	storeDir := flag.String("store", "", "content-addressed results store directory (required)")
-	workers := flag.Int("workers", 0, "simulation worker goroutines per plan session (0 = GOMAXPROCS)")
-	plans := flag.Int("plans", 0, "plan sessions simulating concurrently (0 = 2)")
+	workers := flag.Int("workers", 0, "in-process simulations per running plan: the pool is -plans × -workers (0 = a pool of GOMAXPROCS)")
+	plans := flag.Int("plans", 0, "plans running concurrently (0 = 2)")
 	distribute := flag.Bool("distribute", false, "coordinator mode: lease missing jobs to rrbus-worker daemons instead of simulating locally")
 	leaseTTL := flag.Duration("lease-ttl", 0, "distribute: lease deadline without renewal before jobs requeue (0 = 30s)")
 	leaseBatch := flag.Int("lease-batch", 0, "distribute: max jobs per lease (0 = 16)")
@@ -82,9 +84,9 @@ func main() {
 		LeaseBatch:     *leaseBatch,
 	})
 
-	// First signal: stop the listener, drain in-flight sessions (their
-	// completed rows stay recorded), report, exit clean. Second signal:
-	// kill.
+	// First signal: stop the listener, drain the running plans (the rows
+	// of jobs already held are recorded), report, exit clean. Second
+	// signal: kill.
 	ctx, stop := rrbus.SignalContext()
 	defer stop()
 

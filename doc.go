@@ -363,13 +363,13 @@
 // NewServer turns a store into a long-running bound service —
 // cmd/rrbus-serve is the thin daemon over it. Clients POST the same
 // plan JSON a scenario file holds; the server compiles it, diffs the
-// job hashes against the store, and simulates only the missing rows
-// through a bounded Session (ServeOptions caps workers per session and
-// concurrently simulating plans):
+// job hashes against the store, and queues only the missing jobs for a
+// pool of in-process workers (ServeOptions caps concurrently running
+// plans and sizes the pool):
 //
 //	POST /v1/plans             submit a plan; 202 + status JSON
 //	GET  /v1/plans             list submitted plans
-//	GET  /v1/plans/{hash}      status + live Session counters/gauges
+//	GET  /v1/plans/{hash}      status + the latest run's live counters
 //	GET  /v1/plans/{hash}/doc  rendered document (?format=text|html|json)
 //	GET  /v1/store/plans       the `rrbus-store ls` audit over HTTP
 //	GET  /metrics              Prometheus text exposition
@@ -381,30 +381,33 @@
 // document with zero simulation, byte-identical to the CLI render of
 // the same plan, with the plan content hash as the ETag. A cold or
 // partial plan simulates exactly the missing hashes; poll the status
-// endpoint (queued → simulating → complete, with the Session's
+// endpoint (queued → simulating → complete, with the run's
 // Simulated/StoreHits/Quarantined/Repaired counts) until the document
-// is ready. Submissions are doubly deduplicated: a plan already queued
-// or running absorbs resubmissions, and overlapping plans share the
-// server's job-hash claim table so two clients submitting at once never
-// simulate the same job hash twice. /metrics exposes the same Session
-// counters plus simulator-core throughput (cycles, extrapolated
-// cycles, cycles/s) in the Prometheus text format with no dependency.
+// is ready; each row is read once. Submissions are doubly
+// deduplicated: a plan already queued or running absorbs resubmissions,
+// and overlapping plans wait on one queued row per job hash — simulated
+// for the plan that queued it first, a store hit for the others. A job
+// that fails to simulate fails every plan waiting on it. /metrics
+// exposes the same counters plus the queue's gauges and simulator-core
+// throughput (cycles, extrapolated cycles, cycles/s) in the Prometheus
+// text format with no dependency.
 //
 // Shutdown is the store section's graceful drain, served: on the first
-// SIGINT/SIGTERM rrbus-serve stops listening, queued plans are marked
-// interrupted, running sessions finish their in-flight jobs (completed
-// rows stay recorded — resubmitting resumes warm), and Drain returns
-// the summed counters for the exit report. A second signal kills. The
+// SIGINT/SIGTERM rrbus-serve stops listening, queued and running plans
+// are marked interrupted, the in-process workers finish the job they
+// hold (completed rows stay recorded — resubmitting resumes warm), and
+// Drain returns the summed counters for the exit report. A second
+// signal kills. The
 // /healthz probe flips to 503 the moment the drain begins, before the
 // listener closes, so load balancers and workers stop routing to a
 // dying server while its in-flight work lands.
 //
 // # Distribution: scattering a sweep across machines
 //
-// A Server started with ServeOptions.Distribute is a coordinator: a
-// submitted plan's missing job hashes go to a lease queue instead of a
-// local session, and any number of Workers (cmd/rrbus-worker) pull
-// them over three endpoints:
+// A Server started with ServeOptions.Distribute is a coordinator: the
+// plan runs the same way, but its in-process pool is empty, and any
+// number of Workers (cmd/rrbus-worker) lease the queued jobs over three
+// endpoints:
 //
 //	POST /v1/work/register     announce a worker; returns lease terms
 //	POST /v1/work/lease        lease a batch of compiled jobs + hashes
@@ -425,18 +428,20 @@
 // job requeued, never recorded. At-least-once completion: leases have
 // deadlines, a killed worker's lease expires and its un-ingested jobs
 // requeue automatically (a draining worker releases its lease
-// explicitly, requeueing at once), so a crash never strands a sweep.
-// Version skew is refused at the edge — a worker whose build hashes a
-// leased job differently declines it rather than record rows under
-// addresses the coordinator never asked for. The coordinator's own
-// store reads, the diff and the final read-back, retry transient errors
-// under ServeOptions.Retry as a session's do, and the plan status
-// counts them as Retried.
+// explicitly, requeueing at once), so a crash never strands a sweep. A
+// job that fails to simulate is not requeued: the worker's release
+// names it with the error, and every plan waiting on it fails. Version
+// skew is refused at the edge — a worker whose build hashes a leased
+// job differently declines it rather than record rows under addresses
+// the coordinator never asked for. The coordinator's own store work,
+// the diff's reads and the recording of delivered rows, retries
+// transient errors under ServeOptions.Retry, and the plan status counts
+// the retries as Retried.
 //
 // Byte-identity survives distribution: a plan simulated by a
 // coordinator plus any number of workers — including workers killed
 // mid-sweep — renders exactly the bytes a single-process run produces,
-// because both read the same rows back out of the same store.
+// because the coordinator hands each plan the very rows it records.
 //
 // PushStore and PullStore (rrbus-store push/pull) sync two stores by
 // hash delta: list the remote's hashes, diff against the local store,

@@ -58,8 +58,9 @@ func main() {
 
 	// ── The coordinator ──────────────────────────────────────────────
 	// Distribute mode: submitted plans are diffed against the store and
-	// the missing job hashes go to a lease queue instead of a local
-	// session. cmd/rrbus-serve mounts exactly this:
+	// the missing job hashes wait on the queue for remote workers to
+	// lease them; the server simulates nothing itself. cmd/rrbus-serve
+	// mounts exactly this:
 	//
 	//	rrbus-serve -store results/ -addr :8077 -distribute -lease-ttl 30s
 	coordStore := rrbus.NewMemStore()

@@ -56,7 +56,7 @@ func main() {
 
 	// 1. Cold submission. The server compiles the plan, diffs its job
 	// hashes against the store — empty, so everything is missing — and
-	// starts a bounded session.
+	// queues the missing jobs for its in-process workers.
 	//
 	//	curl -d @fig7.json localhost:8077/v1/plans
 	st := submit(ts.URL, fig7Plan)

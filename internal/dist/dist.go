@@ -5,6 +5,8 @@
 // missing ones; workers (cmd/rrbus-worker) lease batches of job specs,
 // run them through an ordinary local store.Session — inheriting
 // retry/quarantine/heal semantics unchanged — and stream the rows back.
+// The same Queue feeds a server's in-process workers (Take, Finish)
+// when it does not distribute.
 //
 // The protocol leans entirely on content addressing:
 //
@@ -24,8 +26,8 @@
 //
 // Byte-identity is preserved end to end: a plan simulated through a
 // coordinator plus any number of workers renders exactly the bytes a
-// single-process run produces, because both read the same rows back out
-// of the same store.
+// single-process run produces, because the queue hands each waiting plan
+// the very row it records in the store.
 package dist
 
 import (
@@ -97,13 +99,17 @@ type ResultRow struct {
 // IngestRequest delivers rows and/or maintains a lease: Renew extends
 // the deadline (a bare heartbeat ships no rows), Release abandons the
 // lease so its unfinished jobs requeue immediately — what a draining
-// worker sends instead of letting the deadline lapse.
+// worker sends instead of letting the deadline lapse. A release may name
+// a job of the lease that failed to simulate (Failed, its hash) with the
+// error: that job is not requeued, and every plan waiting on it fails.
 type IngestRequest struct {
 	Worker  string      `json:"worker,omitempty"`
 	Lease   string      `json:"lease,omitempty"`
 	Rows    []ResultRow `json:"rows,omitempty"`
 	Renew   bool        `json:"renew,omitempty"`
 	Release bool        `json:"release,omitempty"`
+	Failed  string      `json:"failed,omitempty"`
+	Error   string      `json:"error,omitempty"`
 }
 
 // IngestResponse reports what happened to each delivered row in

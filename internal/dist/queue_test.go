@@ -408,3 +408,98 @@ func TestQueueManyPlansManyWorkers(t *testing.T) {
 		t.Fatalf("counters %+v, want 12 ingested, none rejected", c)
 	}
 }
+
+// TestQueueFailedJobFailsWaitingPlans: a job that fails fails every plan
+// waiting on it with its error, leaves the queue without a requeue, and
+// takes with it the failed plans' jobs no other plan waits on. Both ways
+// of reporting a failure take this path: an in-process Finish and a
+// remote worker's release naming the job.
+func TestQueueFailedJobFailsWaitingPlans(t *testing.T) {
+	q := dist.NewQueue(store.NewMem(), dist.QueueOptions{})
+	q.Enqueue("p1", specsFor("h1", "h2"))
+	q.Enqueue("p2", specsFor("h1"))
+	q.Enqueue("p3", specsFor("h3"))
+	sp, ok := q.Take(context.Background())
+	if !ok || sp.Hash != "h1" {
+		t.Fatalf("Take = %+v, %v, want h1", sp, ok)
+	}
+	boom := fmt.Errorf("unknown task")
+	q.Finish("h1", scenario.Result{}, boom)
+	for _, plan := range []string{"p1", "p2"} {
+		if err := q.Wait(context.Background(), plan); err != boom {
+			t.Fatalf("Wait(%s) = %v, want the job's error", plan, err)
+		}
+	}
+	if g := q.Gauges(); g.Pending != 1 || g.Leased != 0 {
+		t.Fatalf("gauges %+v, want only p3's job left", g)
+	}
+	if c := q.Counters(); c.Requeued != 0 || c.Ingested != 0 {
+		t.Fatalf("counters %+v, want nothing requeued or ingested", c)
+	}
+
+	l := q.Lease("w1", 0)
+	if len(l.Jobs) != 1 || l.Jobs[0].Hash != "h3" {
+		t.Fatalf("lease %+v, want h3", l.Jobs)
+	}
+	q.Ingest(dist.IngestRequest{Worker: "w1", Lease: l.ID, Release: true, Failed: "h3", Error: "unknown task"})
+	if err := q.Wait(context.Background(), "p3"); err == nil || err.Error() != "unknown task" {
+		t.Fatalf("Wait(p3) = %v, want the worker's error", err)
+	}
+	if g := q.Gauges(); g.Pending != 0 || g.Leased != 0 || g.Leases != 0 {
+		t.Fatalf("gauges %+v, want an empty queue", g)
+	}
+}
+
+// TestQueueOpenHandsOverRowRecordedMeanwhile is the at-most-once guard
+// between a plan's store diff and its Enqueue: a job another plan
+// finishes in between is handed over, not queued a second time, and
+// counts as simulated for the plan that queued it first only.
+func TestQueueOpenHandsOverRowRecordedMeanwhile(t *testing.T) {
+	mem := store.NewMem()
+	q := dist.NewQueue(mem, dist.QueueOptions{})
+	q.Enqueue("p1", specsFor("h1"))
+	q.Open("p2") // p2's diff misses h1 ...
+	sp, _ := q.Take(context.Background())
+	q.Finish(sp.Hash, scenario.Result{Cycles: 42}, nil) // ... which p1's worker then records
+	waitDone(t, q, "p1")
+	q.Enqueue("p2", specsFor("h1"))
+	if rows, err := q.Collect(context.Background(), "p2"); err != nil || rows["h1"].Cycles != 42 {
+		t.Fatalf("p2 rows %+v (err %v), want the recorded h1 row", rows, err)
+	}
+	if g := q.Gauges(); g.Pending != 0 {
+		t.Fatalf("gauges %+v, want h1 not queued again", g)
+	}
+	p1, p2 := q.PlanCounters("p1"), q.PlanCounters("p2")
+	if p1.Simulated != 1 || p1.Hits != 0 || p2.Simulated != 0 || p2.Hits != 1 {
+		t.Fatalf("plan counters p1=%+v p2=%+v, want h1 simulated for p1 and a hit for p2", p1, p2)
+	}
+	if c := q.Counters(); c.Leased != 1 || c.Ingested != 1 {
+		t.Fatalf("counters %+v, want h1 taken and recorded once", c)
+	}
+}
+
+// TestQueueTakeWaitsForWork: an in-process worker blocks in Take until a
+// job is enqueued, and a cancelled Take returns no job.
+func TestQueueTakeWaitsForWork(t *testing.T) {
+	q := dist.NewQueue(store.NewMem(), dist.QueueOptions{})
+	got := make(chan string, 1)
+	go func() {
+		sp, _ := q.Take(context.Background())
+		got <- sp.Hash
+	}()
+	time.Sleep(10 * time.Millisecond)
+	q.Enqueue("plan", specsFor("h1"))
+	select {
+	case h := <-got:
+		if h != "h1" {
+			t.Fatalf("Take = %q, want h1", h)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Take never woke for the enqueued job")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, ok := q.Take(ctx); ok {
+		t.Fatal("a cancelled Take handed out a job")
+	}
+}

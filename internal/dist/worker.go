@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -165,12 +166,12 @@ func (w *Worker) runLease(ctx context.Context, l *Lease) error {
 	}
 	c, err := scenario.Compile(&scenario.Plan{Name: "lease " + l.ID, Jobs: jobs})
 	if err != nil {
-		w.release(l)
+		w.release(l, "", "")
 		return err
 	}
 	for i, h := range c.JobHashes() {
 		if h != l.Jobs[i].Hash {
-			w.release(l)
+			w.release(l, "", "")
 			return fmt.Errorf("dist: job %d hashes to %s here but the coordinator leased %s — version skew, refusing the batch",
 				i, h, l.Jobs[i].Hash)
 		}
@@ -196,12 +197,19 @@ func (w *Worker) runLease(ctx context.Context, l *Lease) error {
 	serr := <-shipErr
 	if runErr != nil {
 		// Drained or failed mid-batch: the completed prefix has shipped;
-		// release the rest for immediate requeue.
-		w.release(l)
+		// release the rest for immediate requeue — except a job that
+		// failed to simulate, which the release reports instead, so the
+		// plans waiting on it fail rather than requeue it forever.
+		var jerr *store.JobError
+		if ctx.Err() == nil && errors.As(runErr, &jerr) {
+			w.release(l, l.Jobs[jerr.Index].Hash, jerr.Error())
+		} else {
+			w.release(l, "", "")
+		}
 		return runErr
 	}
 	if serr != nil {
-		w.release(l)
+		w.release(l, "", "")
 		return serr
 	}
 	w.leases.Add(1)
@@ -265,12 +273,13 @@ func (w *Worker) shipper(l *Lease, ship <-chan ResultRow) error {
 const shipBatch = 16
 
 // release abandons a lease best-effort so its unfinished jobs requeue
-// without waiting out the deadline.
-func (w *Worker) release(l *Lease) {
+// without waiting out the deadline. failed, when set, is the hash of the
+// job that failed to simulate with msg: it is not requeued.
+func (w *Worker) release(l *Lease, failed, msg string) {
 	w.released.Add(1)
 	var resp IngestResponse
 	if err := w.post("/v1/work/results", IngestRequest{
-		Worker: w.opts.Name, Lease: l.ID, Release: true,
+		Worker: w.opts.Name, Lease: l.ID, Release: true, Failed: failed, Error: msg,
 	}, &resp); err != nil {
 		w.logf("release %s: %v (the lease deadline requeues it)", l.ID, err)
 	}

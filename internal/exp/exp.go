@@ -26,7 +26,9 @@
 //
 // The default worker count is GOMAXPROCS; CLIs expose it as -workers and
 // a value of 1 recovers the fully serial execution on the caller's
-// goroutine (no pool is spun up at all).
+// goroutine (no pool is spun up at all). Each batch bounds only its own
+// goroutines: there is no engine-wide budget, so a caller running
+// batches concurrently sizes them itself.
 package exp
 
 import (
@@ -35,35 +37,6 @@ import (
 )
 
 var defaultWorkers atomic.Int64
-
-// active counts worker goroutines currently reserved by running batches.
-// Every parallel batch claims its workers from the shared Workers()
-// budget via an atomic compare-and-swap (reserve), so concurrent batches
-// — the sessions of several plans rrbus-serve runs at once, or a batch
-// nested inside another batch's job — shrink to whatever budget remains
-// (typically serial execution on their own goroutine) instead of
-// multiplying concurrency.
-var active atomic.Int64
-
-// reserve atomically claims up to want worker slots from the engine-wide
-// budget and returns how many it got (possibly 0). The caller must return
-// the slots with active.Add(-granted) when the batch finishes.
-func reserve(want int) int {
-	for {
-		a := active.Load()
-		avail := int64(Workers()) - a
-		if avail < 1 {
-			return 0
-		}
-		g := int64(want)
-		if g > avail {
-			g = avail
-		}
-		if active.CompareAndSwap(a, a+g) {
-			return int(g)
-		}
-	}
-}
 
 // Workers returns the engine's current default worker count: the last
 // value installed with SetWorkers, or GOMAXPROCS when unset.

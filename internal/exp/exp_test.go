@@ -99,39 +99,6 @@ func TestMapNBoundedWorkers(t *testing.T) {
 	}
 }
 
-func TestNestedMapSharesBudget(t *testing.T) {
-	// A batch nested inside another batch's worker must draw from the
-	// same engine-wide budget: with Workers()=4, an outer 4-wide batch
-	// whose jobs each fan out again must never run more than 4 inner
-	// jobs concurrently (it would be 16 if nesting multiplied).
-	SetWorkers(4)
-	defer SetWorkers(0)
-	var cur, peak atomic.Int64
-	_, err := mapN(4, 8, func(int) (int, error) {
-		inner, err := mapN(4, 8, func(j int) (int, error) {
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
-			}
-			defer cur.Add(-1)
-			return j, nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		return len(inner), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > 4 {
-		t.Fatalf("observed %d concurrent inner jobs, want <= 4 (shared budget)", p)
-	}
-}
-
 func TestSetWorkers(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(5)

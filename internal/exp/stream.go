@@ -162,9 +162,7 @@ func StreamShardCached[T any](ctx context.Context, shard Shard, workers, n int,
 }
 
 // StreamShard runs this shard's subset of the jobs fn(0..n-1) across at
-// most workers goroutines — further bounded by the engine-wide Workers()
-// budget, which concurrent batches share — and streams the results to
-// sink in job order:
+// most workers goroutines and streams the results to sink in job order:
 //
 //   - sink.Emit(i, v) is called in ascending i, only for indices the
 //     shard owns, as soon as all owned predecessors have been emitted —
@@ -208,15 +206,6 @@ func StreamShard[T any](ctx context.Context, shard Shard, workers, n int, fn fun
 	if workers > owned {
 		workers = owned
 	}
-	if workers > 1 {
-		granted := reserve(workers)
-		if granted <= 1 {
-			active.Add(int64(-granted))
-			workers = 1
-		} else {
-			workers = granted
-		}
-	}
 	if workers <= 1 {
 		for j := 0; j < owned; j++ {
 			// Check between jobs, never mid-job: a cancelled serial
@@ -235,7 +224,6 @@ func StreamShard[T any](ctx context.Context, shard Shard, workers, n int, fn fun
 		}
 		return nil
 	}
-	defer active.Add(int64(-workers))
 
 	type slot struct {
 		j   int

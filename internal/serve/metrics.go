@@ -11,57 +11,55 @@ import (
 
 // The /metrics endpoint hand-rolls the Prometheus text exposition format
 // (version 0.0.4) — counters and gauges only, no labels, no client
-// library. Everything job-shaped is read from each plan's run totals
-// (runTotals: the same numbers the status endpoints and the drain summary
-// report — one source of truth); everything cycle-shaped comes from the
-// simulator's process-wide sim.ExecStats tally.
+// library. Everything job-shaped is read from each plan's counters
+// (totalsOf: the same numbers the status endpoints and the drain
+// summary report — one source of truth) and from the work queue;
+// everything cycle-shaped comes from the simulator's process-wide
+// sim.ExecStats tally.
 
-// sessionTotals accumulates plan runs' counters into server-wide
-// monotonic totals. Re-running a plan replaces its run, so the totals of
-// replaced runs are folded into Server.folded first; live metrics are
-// folded + every plan's latest run.
-type sessionTotals struct {
+// planCounters are a plan's counters: its store diffs' plus the queue's
+// for the rows it waited on. They only grow: a status reports the
+// latest run as the difference from the counters when it began.
+type planCounters struct {
 	simulated, hits, quarantined, repaired, retried int64
+	leased, ingested, requeued                      int64
 }
 
-func (t *sessionTotals) add(u sessionTotals) {
-	t.simulated += u.simulated
-	t.hits += u.hits
-	t.quarantined += u.quarantined
-	t.repaired += u.repaired
-	t.retried += u.retried
-}
-
-// runTotals returns the counters of the plan's latest run: its session's
-// in local mode; in coordinator mode the store diff's hits, quarantines
-// and retries plus the rows the queue ingested for the plan (each of two
-// overlapping plans counts a row both wait on, as both statuses do).
-// Callers hold ps.mu.
-func (s *Server) runTotals(ps *planState) sessionTotals {
-	if sess := ps.sess; sess != nil {
-		return sessionTotals{
-			simulated:   sess.Simulated(),
-			hits:        sess.StoreHits(),
-			quarantined: sess.Quarantined(),
-			repaired:    sess.Repaired(),
-			retried:     sess.Retried(),
-		}
-	}
-	t := sessionTotals{hits: ps.distHits, quarantined: ps.distQuarantined, retried: ps.distRetried}
-	if ps.distEnqueued {
-		t.simulated = s.queue.PlanCounters(ps.plan.Hash()).Ingested
-	}
+// plus returns t + sign·u, counter by counter.
+func (t planCounters) plus(u planCounters, sign int64) planCounters {
+	t.simulated += sign * u.simulated
+	t.hits += sign * u.hits
+	t.quarantined += sign * u.quarantined
+	t.repaired += sign * u.repaired
+	t.retried += sign * u.retried
+	t.leased += sign * u.leased
+	t.ingested += sign * u.ingested
+	t.requeued += sign * u.requeued
 	return t
 }
 
-// totalsLocked is the server-wide total /metrics and Drain report: the
-// folded totals of replaced runs plus every plan's latest run. Callers
-// hold s.mu.
-func (s *Server) totalsLocked() sessionTotals {
-	tot := s.folded
+// totalsOf sums a plan's counters over all its runs. Callers hold ps.mu.
+func (s *Server) totalsOf(ps *planState) planCounters {
+	qc := s.queue.PlanCounters(ps.plan.Hash())
+	return planCounters{
+		simulated:   qc.Simulated,
+		hits:        ps.hits + qc.Hits,
+		quarantined: ps.quarantined,
+		repaired:    ps.repaired,
+		retried:     ps.retried + qc.Retried,
+		leased:      qc.Leased,
+		ingested:    qc.Ingested,
+		requeued:    qc.Requeued,
+	}
+}
+
+// totalsLocked is the server-wide total /metrics and Drain report: every
+// plan's counters summed. Callers hold s.mu.
+func (s *Server) totalsLocked() planCounters {
+	var tot planCounters
 	for _, ps := range s.plans {
 		ps.mu.Lock()
-		tot.add(s.runTotals(ps))
+		tot = tot.plus(s.totalsOf(ps), 1)
 		ps.mu.Unlock()
 	}
 	return tot
@@ -72,14 +70,9 @@ func (s *Server) totalsLocked() sessionTotals {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	tot := s.totalsLocked()
-	var queue, jobsInFlight int64
 	var active int64
 	for _, ps := range s.plans {
 		ps.mu.Lock()
-		if ps.sess != nil {
-			queue += ps.sess.QueueDepth()
-			jobsInFlight += ps.sess.InFlight()
-		}
 		if ps.status == StatusQueued || ps.status == StatusSimulating {
 			active++
 		}
@@ -87,6 +80,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	submitted, completed, failed := s.submitted, s.completed, s.failed
 	s.mu.Unlock()
+	qc, qg := s.queue.Counters(), s.queue.Gauges()
 
 	es := sim.ReadExecStats()
 	now := time.Now()
@@ -115,24 +109,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter(w, "rrbus_sim_cycles_total", "Simulated platform cycles covered process-wide.", float64(es.Cycles))
 	counter(w, "rrbus_sim_extrapolated_cycles_total", "Cycles covered by steady-state period extrapolation.", float64(es.Extrapolated))
 	counter(w, "rrbus_sim_periods_leapt_total", "Whole steady-state periods extrapolated in closed form.", float64(es.PeriodsLeapt))
-	gauge(w, "rrbus_queue_depth", "Jobs accepted by active sessions still waiting for a worker.", float64(queue))
-	gauge(w, "rrbus_jobs_inflight", "Jobs executing right now (store lookup through simulation).", float64(jobsInFlight))
-	gauge(w, "rrbus_sessions_inflight", "Plan sessions queued or simulating.", float64(active))
+	gauge(w, "rrbus_queue_depth", "Jobs waiting for a worker.", float64(qg.Pending))
+	gauge(w, "rrbus_jobs_inflight", "Jobs a worker holds right now.", float64(qg.Leased))
+	gauge(w, "rrbus_sessions_inflight", "Plan runs queued or simulating.", float64(active))
 	gauge(w, "rrbus_sim_cycles_per_second", "Simulated cycles per wall second since the previous scrape.", rate)
 	gauge(w, "rrbus_uptime_seconds", "Seconds since the server started.", now.Sub(s.start).Seconds())
-	if s.queue != nil {
-		qc := s.queue.Counters()
-		qg := s.queue.Gauges()
-		counter(w, "rrbus_dist_jobs_leased_total", "Job grants handed to workers (requeued jobs count again).", float64(qc.Leased))
-		counter(w, "rrbus_dist_rows_ingested_total", "Rows accepted from workers and recorded in the store.", float64(qc.Ingested))
-		counter(w, "rrbus_dist_jobs_requeued_total", "Jobs returned to the queue by expired or released leases.", float64(qc.Requeued))
-		counter(w, "rrbus_dist_rows_rejected_total", "Delivered rows refused by the ingest integrity gate.", float64(qc.Rejected))
-		counter(w, "rrbus_dist_rows_duplicate_total", "Delivered rows whose hash was already recorded.", float64(qc.Duplicate))
-		gauge(w, "rrbus_dist_pending_jobs", "Jobs waiting for a lease.", float64(qg.Pending))
-		gauge(w, "rrbus_dist_leased_jobs", "Jobs currently out under active leases.", float64(qg.Leased))
-		gauge(w, "rrbus_dist_leases_active", "Active leases.", float64(qg.Leases))
-		gauge(w, "rrbus_dist_workers", "Workers seen within the last five lease TTLs.", float64(qg.Workers))
-	}
+	counter(w, "rrbus_dist_jobs_leased_total", "Job grants handed to workers (requeued jobs count again).", float64(qc.Leased))
+	counter(w, "rrbus_dist_rows_ingested_total", "Rows accepted from workers and recorded in the store.", float64(qc.Ingested))
+	counter(w, "rrbus_dist_jobs_requeued_total", "Jobs returned to the queue by expired or released leases.", float64(qc.Requeued))
+	counter(w, "rrbus_dist_rows_rejected_total", "Delivered rows refused by the ingest integrity gate.", float64(qc.Rejected))
+	counter(w, "rrbus_dist_rows_duplicate_total", "Delivered rows whose hash was already recorded.", float64(qc.Duplicate))
+	gauge(w, "rrbus_dist_pending_jobs", "Jobs waiting for a worker.", float64(qg.Pending))
+	gauge(w, "rrbus_dist_leased_jobs", "Jobs a worker holds, under a lease or in-process.", float64(qg.Leased))
+	gauge(w, "rrbus_dist_leases_active", "Active leases.", float64(qg.Leases))
+	gauge(w, "rrbus_dist_workers", "Remote workers seen within the last five lease TTLs.", float64(qg.Workers))
 }
 
 func counter(w io.Writer, name, help string, v float64) { metric(w, name, help, "counter", v) }

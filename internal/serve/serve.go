@@ -2,9 +2,9 @@
 // long-running HTTP server over a content-addressed results store.
 // Clients POST plans (the same JSON a scenario file holds — a generator
 // invocation, an explicit job list or a single scenario); the server
-// compiles them to content hashes, diffs against the store and simulates
-// only the missing rows through a bounded, store-aware Session, then
-// serves the rendered bound documents through the report backends. A
+// compiles them to content hashes, diffs against the store, puts only
+// the missing jobs on a work queue (dist.Queue) and serves the rendered
+// bound documents through the report backends. A
 // warm plan — every row already recorded — renders with zero simulation,
 // which is the ROADMAP's "one warm store, many readers" shape: derive
 // once, serve the document to everyone.
@@ -24,19 +24,21 @@
 //	GET  /metrics                  Prometheus text exposition
 //	GET  /healthz                  liveness; 503 once a drain begins
 //
-// In distribute mode (Options.Distribute) the server is a coordinator:
-// plans' missing jobs are leased to rrbus-worker daemons instead of
-// simulated locally, over three more endpoints:
+// Every plan runs one way: the server records its manifest, diffs it
+// against the store, enqueues the missing jobs and waits for workers to
+// hand their rows over. By default a pool of in-process workers takes
+// jobs straight off the queue. In distribute mode (Options.Distribute)
+// the pool is empty and the server is a coordinator: rrbus-worker
+// daemons lease the jobs over three more endpoints:
 //
 //	POST /v1/work/register         announce a worker, learn lease terms
 //	POST /v1/work/lease            lease a batch of missing job specs
 //	POST /v1/work/results          deliver rows; renew/release the lease
 //
-// Concurrent submissions are doubly deduplicated: resubmitting a plan
+// Concurrent submissions are deduplicated twice: resubmitting a plan
 // that is queued or running returns its current status without a second
-// run, and overlapping plans share a store.Dedup (or, in distribute
-// mode, the work queue's per-hash tracking) so a missing job hash
-// simulates at most once across all in-flight sessions.
+// run, and the queue tracks each missing job hash once, so overlapping
+// plans wait on one row and a job simulates at most once.
 package serve
 
 import (
@@ -51,40 +53,42 @@ import (
 	"time"
 
 	"rrbus/internal/dist"
+	"rrbus/internal/exp"
 	"rrbus/internal/report"
 	"rrbus/internal/scenario"
 	"rrbus/internal/store"
 )
 
 // Options configure a Server. The zero value is usable: engine-default
-// worker count, 2 concurrent plan runs, no retries.
+// worker pool, 2 concurrent plan runs, no retries.
 type Options struct {
-	// Workers bounds each plan session's simulation goroutines
-	// (0 = the engine default, GOMAXPROCS).
+	// Workers sizes the in-process worker pool: MaxActivePlans × Workers
+	// simulations at once, what that many plans of this width run at
+	// most (0 = the engine default, exp.Workers(), for the whole pool).
 	Workers int
-	// MaxActivePlans bounds how many submitted plans simulate
-	// concurrently; further plans wait queued (0 = 2).
+	// MaxActivePlans bounds how many submitted plans run concurrently;
+	// further plans wait queued (0 = 2).
 	MaxActivePlans int
-	// Retry is the per-session retry policy for transient store errors
-	// (the CLIs use rrbus.DefaultRetry; the zero value disables retries).
+	// Retry is the retry policy for transient store errors, applied to
+	// the plans' store reads and to recording rows (the CLIs use
+	// rrbus.DefaultRetry; the zero value disables retries).
 	Retry store.RetryPolicy
-	// Distribute turns the server into a coordinator: submitted plans'
-	// missing jobs are leased to rrbus-worker daemons over the /v1/work
-	// endpoints instead of simulated in a local session.
+	// Distribute turns the server into a coordinator: the in-process
+	// pool is empty and rrbus-worker daemons lease the missing jobs over
+	// the /v1/work endpoints.
 	Distribute bool
-	// LeaseTTL bounds how long a worker may hold a leased batch without
-	// renewing before it requeues (0 = dist.DefaultLeaseTTL). Distribute
-	// mode only.
+	// LeaseTTL bounds how long a remote worker may hold a leased batch
+	// without renewing before it requeues (0 = dist.DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// LeaseBatch caps the jobs handed out per lease
-	// (0 = dist.DefaultMaxBatch). Distribute mode only.
+	// LeaseBatch caps the jobs handed out per lease to a remote worker
+	// (0 = dist.DefaultMaxBatch).
 	LeaseBatch int
 }
 
 // Status values reported by the plan endpoints.
 const (
 	StatusQueued      = "queued"      // accepted, waiting for a run slot
-	StatusSimulating  = "simulating"  // session running (store hits + fresh simulation)
+	StatusSimulating  = "simulating"  // running (store hits + fresh simulation)
 	StatusComplete    = "complete"    // all rows recorded, document servable
 	StatusFailed      = "failed"      // run error (see the error field)
 	StatusInterrupted = "interrupted" // drained by shutdown; resubmit to resume warm
@@ -96,7 +100,8 @@ const (
 // PlanStatus is the JSON body of the status endpoints: the same
 // PlanInfo shape the rrbus-store audit CLI reports (hash, name,
 // generator, job count, rows present, error), extended with the run
-// status and the live Session counters and gauges.
+// status, the latest run's live counters and, while it runs, the work
+// queue's gauges (jobs pending, jobs a worker holds).
 type PlanStatus struct {
 	store.PlanInfo
 	Status      string `json:"status"`
@@ -107,36 +112,29 @@ type PlanStatus struct {
 	Retried     int64  `json:"retried"`
 	QueueDepth  int64  `json:"queue_depth"`
 	InFlight    int64  `json:"in_flight"`
-	// Distribution counters (coordinator mode only): job grants to
-	// workers, rows ingested from them, and jobs requeued by expired or
+	// Distribution counters: job grants to workers (in-process or
+	// remote), rows ingested from them, and jobs requeued by expired or
 	// released leases — all for this plan's jobs.
 	Leased   int64 `json:"leased,omitempty"`
 	Ingested int64 `json:"ingested,omitempty"`
 	Requeued int64 `json:"requeued,omitempty"`
 }
 
-// planState is one registered plan's lifecycle. The latest run's session
-// provides the counters a PlanStatus reports, so a warm resubmission
-// visibly reports zero simulated jobs.
+// planState is one registered plan's lifecycle. A PlanStatus reports
+// the latest run alone, so a warm resubmission visibly reports zero
+// simulated jobs.
 type planState struct {
 	plan *scenario.Compiled
 
 	mu      sync.Mutex
 	status  string
-	sess    *store.Session
-	view    *store.DedupStore
 	results []scenario.Result
 	err     string
-	// Coordinator-mode runs have no session; the diff pass records how
-	// many rows the store already held (and how many corrupt entries it
-	// quarantined for the fleet to re-derive), the store reads count
-	// their retries, and the queue tracks the rest per plan hash once
-	// this run has enqueued (distEnqueued; until then the queue still
-	// holds the previous run's counters, already folded).
-	distEnqueued    bool
-	distHits        int64
-	distQuarantined int64
-	distRetried     int64
+	// The store diffs' counters, summed over every run of the plan (the
+	// queue sums the rest), and the plan's totals when its latest run
+	// began.
+	hits, quarantined, repaired, retried int64
+	base                                 planCounters
 }
 
 // Server is the HTTP handler. Create with New, serve with http.Server,
@@ -146,13 +144,8 @@ type Server struct {
 	opts Options
 	mux  *http.ServeMux
 
-	// dedup coordinates all plan sessions sharing st so overlapping
-	// submissions never simulate a job hash twice.
-	dedup *store.Dedup
-
-	// queue is the coordinator work queue (Distribute mode only; nil
-	// otherwise). Its dedup role is structural: overlapping plans
-	// enqueue a missing hash once and both wait on its row.
+	// queue holds every plan's missing jobs, keyed by job hash, so
+	// overlapping plans wait on one row.
 	queue *dist.Queue
 
 	ctx    context.Context
@@ -163,7 +156,6 @@ type Server struct {
 	mu        sync.Mutex
 	plans     map[string]*planState
 	order     []string
-	folded    sessionTotals // counters of sessions replaced by re-runs
 	submitted int64
 	completed int64
 	failed    int64
@@ -197,7 +189,7 @@ func New(st store.Store, opts Options) *Server {
 	s := &Server{
 		st:     st,
 		opts:   opts,
-		dedup:  store.NewDedup(),
+		queue:  dist.NewQueue(st, dist.QueueOptions{LeaseTTL: opts.LeaseTTL, MaxBatch: opts.LeaseBatch, Retry: opts.Retry}),
 		ctx:    ctx,
 		cancel: cancel,
 		sem:    make(chan struct{}, opts.MaxActivePlans),
@@ -215,20 +207,24 @@ func New(st store.Store, opts Options) *Server {
 	mux.HandleFunc("POST /v1/store/fetch", s.handleStoreFetch)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	pool := opts.MaxActivePlans * opts.Workers
+	if opts.Workers <= 0 {
+		pool = exp.Workers()
+	}
 	if opts.Distribute {
-		s.queue = dist.NewQueue(st, dist.QueueOptions{LeaseTTL: opts.LeaseTTL, MaxBatch: opts.LeaseBatch})
 		mux.HandleFunc("POST /v1/work/register", s.handleWorkRegister)
 		mux.HandleFunc("POST /v1/work/lease", s.handleWorkLease)
 		mux.HandleFunc("POST /v1/work/results", s.handleWorkResults)
-		// The janitor requeues expired leases even when no worker is
-		// calling in; it exits with the drain.
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.queue.Janitor(s.ctx)
-		}()
+		pool = 0
 	}
 	s.mux = mux
+	// The janitor requeues expired leases even when no worker is calling
+	// in; it and the in-process workers exit with the drain.
+	s.wg.Add(1 + pool)
+	go func() { defer s.wg.Done(); s.queue.Janitor(s.ctx) }()
+	for range pool {
+		go func() { defer s.wg.Done(); s.work() }()
+	}
 	return s
 }
 
@@ -252,8 +248,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // handleSubmit accepts a plan JSON body (scenario-file syntax: generator
 // invocation, explicit job list, or single scenario), compiles it,
 // registers it and — unless an identical plan is already queued or
-// running — starts a session over the store. The response is the plan's
-// status; poll GET /v1/plans/{hash} until it reports complete.
+// running — schedules a run. The response is the plan's status; poll
+// GET /v1/plans/{hash} until it reports complete.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.ctx.Err() != nil {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -298,35 +294,21 @@ func (s *Server) register(c *scenario.Compiled) *planState {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if ps.status == StatusQueued || ps.status == StatusSimulating {
-		return ps // the running session already covers this submission
+		return ps // the run in progress already covers this submission
 	}
-	// A re-run replaces the run's counters; fold the old ones into the
-	// server totals so /metrics and the drain summary stay monotonic while
-	// the status endpoint reports the latest run alone.
-	s.folded.add(s.runTotals(ps))
+	// The plan's counters only grow, so /metrics and the drain summary
+	// stay monotonic; the status endpoint reports what the new run adds.
+	ps.base = s.totalsOf(ps)
 	ps.status = StatusQueued
 	ps.results = nil
 	ps.err = ""
-	if s.queue != nil {
-		// Coordinator mode: no local session — the store diff and the
-		// worker fleet do the running. The queue deduplicates overlapping
-		// plans by job hash, playing the role the session dedup table
-		// plays in local mode.
-		ps.sess, ps.view = nil, nil
-		ps.distEnqueued = false
-		ps.distHits, ps.distQuarantined, ps.distRetried = 0, 0, 0
-	} else {
-		view := s.dedup.Wrap(s.st)
-		ps.sess = &store.Session{Store: view, Workers: s.opts.Workers, Retry: s.opts.Retry}
-		ps.view = view
-	}
 	s.schedule(ps)
 	return ps
 }
 
-// schedule runs the plan's session once a concurrency slot frees up.
-// Cancelling the server context both skips queued plans and drains
-// running ones (in-flight jobs finish, completed rows stay recorded).
+// schedule runs the plan once a concurrency slot frees up. Cancelling
+// the server context both skips queued plans and interrupts running ones
+// (jobs a worker holds finish, and their rows are recorded).
 func (s *Server) schedule(ps *planState) {
 	s.wg.Add(1)
 	go func() {
@@ -340,19 +322,8 @@ func (s *Server) schedule(ps *planState) {
 		defer func() { <-s.sem }()
 		ps.mu.Lock()
 		ps.status = StatusSimulating
-		sess, view := ps.sess, ps.view
 		ps.mu.Unlock()
-		if sess == nil {
-			// Coordinator mode: diff, enqueue, wait for the fleet.
-			results, err := s.runDistributed(ps)
-			s.finish(ps, results, err)
-			return
-		}
-		results, err := sess.RunAllContext(s.ctx, ps.plan)
-		// Release any dedup claims a failed or drained run still holds,
-		// so sessions waiting on those hashes wake and simulate them
-		// themselves.
-		view.Close()
+		results, err := s.run(ps)
 		s.finish(ps, results, err)
 	}()
 }
@@ -392,7 +363,7 @@ func (s *Server) statusOf(ps *planState) PlanStatus {
 // statusLocked is statusOf for a caller that already holds ps.mu, so a
 // handler can decide on and report the same snapshot.
 func (s *Server) statusLocked(ps *planState) PlanStatus {
-	c, sess := ps.plan, ps.sess
+	c := ps.plan
 	st := PlanStatus{
 		PlanInfo: store.PlanInfo{
 			Hash:      c.Hash(),
@@ -403,18 +374,13 @@ func (s *Server) statusLocked(ps *planState) PlanStatus {
 		},
 		Status: ps.status,
 	}
-	// In coordinator mode the fleet simulates and the queue counts: rows
-	// ingested from workers are the runs this plan caused, so they fill
-	// the Simulated slot a warm resubmission reports as 0.
-	t := s.runTotals(ps)
+	t := s.totalsOf(ps).plus(ps.base, -1)
 	st.Simulated, st.StoreHits, st.Quarantined = t.simulated, t.hits, t.quarantined
 	st.Repaired, st.Retried = t.repaired, t.retried
-	if sess != nil {
-		st.QueueDepth = sess.QueueDepth()
-		st.InFlight = sess.InFlight()
-	} else if ps.distEnqueued {
-		pc := s.queue.PlanCounters(c.Hash())
-		st.Leased, st.Ingested, st.Requeued = pc.Leased, pc.Ingested, pc.Requeued
+	st.Leased, st.Ingested, st.Requeued = t.leased, t.ingested, t.requeued
+	if ps.status == StatusSimulating {
+		g := s.queue.Gauges()
+		st.QueueDepth, st.InFlight = int64(g.Pending), int64(g.Leased)
 	}
 	st.Present = int(st.Simulated + st.StoreHits)
 	if st.Present > st.Jobs {
@@ -621,29 +587,27 @@ func (s *Server) handleStorePlans(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes())
 }
 
-// DrainSummary is what a graceful shutdown reports: the same Session
-// counters and gauges /metrics exposes, summed over every session the
-// server ran.
+// DrainSummary is what a graceful shutdown reports: the same counters
+// /metrics exposes, summed over every run the server made.
 type DrainSummary struct {
 	Plans       int   // plans registered over the server's lifetime
 	Interrupted int   // plans whose run the drain cut short
-	Simulated   int64 // jobs simulated across all sessions
+	Simulated   int64 // jobs simulated across all runs
 	StoreHits   int64 // jobs served from the store
 	Quarantined int64 // corrupt entries healed
 	Repaired    int64
 	Retried     int64
-	// Distribution totals (coordinator mode; zero otherwise).
+	// Distribution totals.
 	Leased   int64 // job grants to workers
 	Ingested int64 // rows ingested from workers
 	Requeued int64 // jobs requeued by expired or released leases
 }
 
 // Drain stops the server's work: no new submissions are accepted, queued
-// plans are marked interrupted, running sessions drain gracefully
-// (in-flight jobs finish and their rows are recorded — a resubmission
-// resumes warm), and the summary of everything the server did comes
-// back. Safe to call once; the HTTP listener itself is the caller's to
-// shut down.
+// and running plans are marked interrupted, in-process workers finish
+// the job they hold and record its row (a resubmission resumes warm), and
+// the summary of everything the server did comes back. Safe to call
+// once; the HTTP listener itself is the caller's to shut down.
 func (s *Server) Drain() DrainSummary {
 	s.cancel()
 	s.wg.Wait()
@@ -664,10 +628,8 @@ func (s *Server) Drain() DrainSummary {
 	sum.Quarantined = tot.quarantined
 	sum.Repaired = tot.repaired
 	sum.Retried = tot.retried
-	if s.queue != nil {
-		qc := s.queue.Counters()
-		sum.Leased, sum.Ingested, sum.Requeued = qc.Leased, qc.Ingested, qc.Requeued
-	}
+	qc := s.queue.Counters()
+	sum.Leased, sum.Ingested, sum.Requeued = qc.Leased, qc.Ingested, qc.Requeued
 	return sum
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"rrbus/internal/exp"
 	"rrbus/internal/report"
 	"rrbus/internal/scenario"
 	"rrbus/internal/serve"
@@ -331,7 +330,7 @@ func TestServeWarmFromManifest(t *testing.T) {
 	if want := cliRender(t, c, ref, "json"); !bytes.Equal(got, want) {
 		t.Fatalf("manifest doc differs from CLI render:\n%s\nvs\n%s", got, want)
 	}
-	// No session ever ran: serving the warm plan simulated nothing.
+	// No plan ever ran: serving the warm plan simulated nothing.
 	vals := scrapeMetrics(t, ts.URL)
 	if vals["rrbus_jobs_simulated_total"] != 0 || vals["rrbus_plans_submitted_total"] != 0 {
 		t.Fatalf("warm serving simulated %v jobs across %v submissions, want 0/0",
@@ -401,13 +400,8 @@ func TestServeOverlapDelta(t *testing.T) {
 // TestServeConcurrentOverlap is the at-most-once guarantee under
 // concurrency: overlapping plans submitted together — with duplicate
 // submissions thrown in — simulate each missing job hash exactly once
-// across all sessions.
+// across all runs.
 func TestServeConcurrentOverlap(t *testing.T) {
-	// The engine worker budget defaults to GOMAXPROCS; pin it so the two
-	// sessions genuinely interleave even on a single-CPU runner.
-	exp.SetWorkers(4)
-	defer exp.SetWorkers(0)
-
 	st, err := store.OpenDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -449,8 +443,8 @@ func TestServeConcurrentOverlap(t *testing.T) {
 	}
 	// A duplicate landing after its twin completed re-runs warm, so the
 	// per-plan statuses report the latest run; the server-wide totals
-	// (folded + live) carry the at-most-once guarantee: across every
-	// session the server ran, each hash in the union simulated once.
+	// carry the at-most-once guarantee: across every run the server
+	// made, each hash in the union simulated once.
 	vals := scrapeMetrics(t, ts.URL)
 	if vals["rrbus_jobs_simulated_total"] != float64(len(union)) {
 		t.Fatalf("metrics simulated_total = %v, want exactly the %d-hash union", vals["rrbus_jobs_simulated_total"], len(union))
@@ -461,7 +455,7 @@ func TestServeConcurrentOverlap(t *testing.T) {
 }
 
 // TestServeMetrics checks the exposition matches the status endpoints'
-// numbers — both read the same Session counters.
+// numbers — both read the same per-plan counters.
 func TestServeMetrics(t *testing.T) {
 	st, err := store.OpenDir(t.TempDir())
 	if err != nil {
@@ -475,7 +469,7 @@ func TestServeMetrics(t *testing.T) {
 	c := compileBody(t, fig7Body)
 	postPlan(t, ts.URL, fig7Body)
 	waitStatus(t, ts.URL, c.Hash())
-	postPlan(t, ts.URL, fig7Body) // warm re-run folds the first session's counters
+	postPlan(t, ts.URL, fig7Body) // warm re-run adds to the first run's counters
 	final := waitStatus(t, ts.URL, c.Hash())
 
 	vals := scrapeMetrics(t, ts.URL)
@@ -566,9 +560,9 @@ func TestServeFaulty(t *testing.T) {
 }
 
 // TestServeFaultyDistributed is TestServeFaulty's retry half in
-// distribute mode: with every row warm the coordinator's store diff and
-// read-back are the whole run, and both must retry transient errors
-// under Options.Retry as a local session does, then report the retries.
+// distribute mode: with every row warm the coordinator's store diff is
+// the whole run — one read per job — and it must retry transient errors
+// under Options.Retry, then report the retries.
 // /metrics, the status endpoint and the drain summary read one per-plan
 // total, so a scrape equals the status, a resubmission never lowers a
 // counter, and the drain summary equals the final scrape.
@@ -656,8 +650,8 @@ func TestServeFaultyDistributed(t *testing.T) {
 // queued plans, interrupts the running one, reports both, and further
 // submissions are refused.
 func TestServeDrain(t *testing.T) {
-	gate := make(chan struct{})
-	gated := &gateStore{Store: store.NewMem(), gate: gate}
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	gated := &gateStore{Store: store.NewMem(), gate: gate, entered: entered}
 	srv := serve.New(gated, serve.Options{MaxActivePlans: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -667,16 +661,14 @@ func TestServeDrain(t *testing.T) {
 
 	// Wait until the run is genuinely inside the store (blocked on the
 	// gate), then pile a second plan into the queue behind it.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
 		st, _ := getStatus(t, ts.URL, fig.Hash())
-		if st.Status == serve.StatusSimulating && st.InFlight > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("run never reached the store (status %q)", st.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
+		t.Fatalf("run never reached the store (status %q)", st.Status)
+	}
+	if st, _ := getStatus(t, ts.URL, fig.Hash()); st.Status != serve.StatusSimulating {
+		t.Fatalf("run blocked in the store reports %q, want simulating", st.Status)
 	}
 	der := compileBody(t, deriveBody)
 	postPlan(t, ts.URL, deriveBody)
@@ -738,14 +730,19 @@ func TestServeDocNotReady(t *testing.T) {
 	}
 }
 
-// gateStore blocks every Get until the gate closes — the serve-side twin
-// of the store package's test helper.
+// gateStore blocks every Get until the gate closes, signalling entered
+// (when set) each time a Get starts to wait.
 type gateStore struct {
 	store.Store
-	gate chan struct{}
+	gate    chan struct{}
+	entered chan struct{}
 }
 
 func (g *gateStore) Get(h string) (scenario.Result, bool, error) {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
 	<-g.gate
 	return g.Store.Get(h)
 }

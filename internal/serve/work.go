@@ -8,14 +8,15 @@ import (
 
 	"rrbus/internal/dist"
 	"rrbus/internal/scenario"
+	"rrbus/internal/sim"
 	"rrbus/internal/store"
 )
 
-// The work-distribution and store-sync endpoints. The work endpoints
-// exist only in distribute mode (Options.Distribute), where submitted
-// plans' missing jobs are leased to workers instead of simulated in a
-// local session; the sync endpoints are always mounted, so any server
-// doubles as a push/pull peer for `rrbus-store`.
+// The plan run, the in-process workers, and the work-distribution and
+// store-sync endpoints. The work endpoints exist only in distribute mode
+// (Options.Distribute), where remote workers lease the missing jobs
+// instead of the in-process pool; the sync endpoints are always mounted,
+// so any server doubles as a push/pull peer for `rrbus-store`.
 
 // handleWorkRegister announces a worker and returns the lease terms.
 func (s *Server) handleWorkRegister(w http.ResponseWriter, r *http.Request) {
@@ -91,9 +92,8 @@ func (s *Server) handleStoreJobs(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleStorePush ingests pushed rows: verify each checksum, record the
-// missing ones, count the rest as duplicates. When the server is also a
-// distribute-mode coordinator, a pushed row satisfies any queued job
-// waiting on its hash — pushing a warm store into a coordinator
+// missing ones, count the rest as duplicates. A pushed row satisfies any
+// queued job waiting on its hash — pushing a warm store into a server
 // completes plans without simulating.
 func (s *Server) handleStorePush(w http.ResponseWriter, r *http.Request) {
 	var req dist.IngestRequest
@@ -103,6 +103,13 @@ func (s *Server) handleStorePush(w http.ResponseWriter, r *http.Request) {
 	var resp dist.IngestResponse
 	for _, row := range req.Rows {
 		res, err := dist.DecodeRow(row)
+		if err == nil {
+			if _, ok, gerr := s.st.Get(row.Hash); gerr == nil && ok {
+				resp.Duplicate++
+				continue
+			}
+			err = s.queue.Record(row.Hash, res)
+		}
 		if err != nil {
 			resp.Rejected++
 			if len(resp.Errors) < 8 {
@@ -110,21 +117,7 @@ func (s *Server) handleStorePush(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		if _, ok, gerr := s.st.Get(row.Hash); gerr == nil && ok {
-			resp.Duplicate++
-			continue
-		}
-		if err := s.st.Put(row.Hash, res); err != nil {
-			resp.Rejected++
-			if len(resp.Errors) < 8 {
-				resp.Errors = append(resp.Errors, err.Error())
-			}
-			continue
-		}
 		resp.Ingested++
-		if s.queue != nil {
-			s.queue.Absorb(row.Hash)
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -170,74 +163,102 @@ func (s *Server) handleStoreFetch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runDistributed is the distribute-mode plan run: record the manifest,
-// diff the plan against the store (quarantining corrupt rows so the
-// fleet re-derives them — heal by distribution), enqueue the missing
-// jobs and wait for workers to fill them, then read the complete row
-// set back in job order. Every store read retries transient errors
-// under Options.Retry, as a local session's do. The rendered document
-// is byte-identical to a single-process run because both read the same
-// rows from the same store.
-func (s *Server) runDistributed(ps *planState) ([]scenario.Result, error) {
+// run is a plan's one execution path: record the manifest, diff the
+// plan against the store (retrying transient errors under Options.Retry
+// and quarantining corrupt entries so they re-simulate), enqueue the
+// missing jobs and wait for the workers — in-process or remote — to hand
+// their rows over. Each row is read once: the results are the rows the
+// diff read plus the rows handed over, relabelled with the plan's job
+// IDs, so the document is byte-identical to a single-process render.
+func (s *Server) run(ps *planState) ([]scenario.Result, error) {
 	c := ps.plan
 	if pr, ok := s.st.(store.PlanRecorder); ok {
 		if err := pr.PutPlan(c); err != nil {
 			return nil, err
 		}
 	}
-	get := func(h string) (r scenario.Result, ok bool, err error) {
+	results := make([]scenario.Result, len(c.Jobs))
+	s.queue.Open(c.Hash())
+	missing, healed, err := s.diff(ps, results)
+	s.queue.Enqueue(c.Hash(), missing) // after an error, nil: ends the run
+	if err != nil {
+		return nil, err
+	}
+	rows, err := s.queue.Collect(s.ctx, c.Hash())
+	ps.mu.Lock()
+	for _, h := range healed {
+		if _, ok := rows[h]; ok {
+			ps.repaired++
+		}
+	}
+	ps.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	for i, h := range c.JobHashes() {
+		if r, ok := rows[h]; ok {
+			r.ID = c.Jobs[i].ID
+			results[i] = r
+		}
+	}
+	return results, nil
+}
+
+// diff reads every job's row once, filling results with the rows the
+// store holds, and returns the missing jobs and the hashes of the
+// corrupt entries it quarantined. Its counters go to ps.
+func (s *Server) diff(ps *planState, results []scenario.Result) (missing []dist.JobSpec, healed []string, err error) {
+	c := ps.plan
+	quarantiner, canHeal := s.st.(store.Quarantiner)
+	var hits, retried int64
+	defer func() {
+		ps.mu.Lock()
+		ps.hits += hits
+		ps.quarantined += int64(len(healed))
+		ps.retried += retried
+		ps.mu.Unlock()
+	}()
+	for i, h := range c.JobHashes() {
+		var r scenario.Result
+		var ok bool
 		n, err := s.opts.Retry.Do(s.ctx, h, func() (err error) {
 			r, ok, err = s.st.Get(h)
 			return err
 		})
-		ps.mu.Lock()
-		ps.distRetried += n
-		ps.mu.Unlock()
-		return r, ok, err
-	}
-	hashes := c.JobHashes()
-	quarantiner, canHeal := s.st.(store.Quarantiner)
-	var missing []dist.JobSpec
-	var hits, quarantined int64
-	for i, h := range hashes {
-		_, ok, err := get(h)
+		retried += n
 		if err != nil && canHeal && store.IsCorrupt(err) {
 			if qerr := quarantiner.Quarantine(h, err.Error()); qerr != nil {
-				return nil, fmt.Errorf("job %q (hash %s): quarantine: %w", c.Jobs[i].ID, h, qerr)
+				return nil, nil, fmt.Errorf("job %q (hash %s): quarantine: %w", c.Jobs[i].ID, h, qerr)
 			}
-			quarantined++
+			healed = append(healed, h)
 			ok, err = false, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("job %q (hash %s): %w", c.Jobs[i].ID, h, err)
+			return nil, nil, fmt.Errorf("job %q (hash %s): %w", c.Jobs[i].ID, h, err)
 		}
 		if ok {
+			r.ID = c.Jobs[i].ID
+			results[i] = r
 			hits++
 		} else {
 			missing = append(missing, dist.JobSpec{Hash: h, Job: c.Jobs[i]})
 		}
 	}
-	s.queue.Enqueue(c.Hash(), missing)
-	ps.mu.Lock()
-	ps.distHits, ps.distQuarantined = hits, quarantined
-	ps.distEnqueued = true
-	ps.mu.Unlock()
-	if err := s.queue.Wait(s.ctx, c.Hash()); err != nil {
-		return nil, err
-	}
-	results := make([]scenario.Result, len(c.Jobs))
-	for i, h := range hashes {
-		r, ok, err := get(h)
-		if err != nil {
-			return nil, fmt.Errorf("job %q (hash %s): %w", c.Jobs[i].ID, h, err)
-		}
+	return missing, healed, nil
+}
+
+// work is one in-process worker: it takes jobs straight off the queue,
+// simulates them and hands each row (or failure) back, until the drain.
+// The job it holds when the drain begins still finishes and is recorded.
+func (s *Server) work() {
+	for {
+		sp, ok := s.queue.Take(s.ctx)
 		if !ok {
-			return nil, fmt.Errorf("job %q (hash %s): row vanished after ingest (concurrent gc?)", c.Jobs[i].ID, h)
+			return
 		}
-		r.ID = c.Jobs[i].ID
-		results[i] = r
+		r, err := sp.Job.Run(sim.Steady)
+		s.queue.Finish(sp.Hash, r, err)
 	}
-	return results, nil
 }
 
 // readJSON decodes a bounded JSON request body, writing the 400 itself

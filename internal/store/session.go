@@ -62,13 +62,18 @@ type Session struct {
 	quarantined atomic.Int64
 	repaired    atomic.Int64
 	retried     atomic.Int64
-
-	// Live gauges (vs the counters above, which only grow): how much of
-	// the in-progress Run calls' work is still waiting and how much is
-	// executing right now. See QueueDepth and InFlight.
-	queued   atomic.Int64
-	inflight atomic.Int64
 }
+
+// JobError is a job of the plan (at Index) that failed to simulate, as
+// opposed to a store failure. It reads as the simulation error.
+type JobError struct {
+	Index int
+	Err   error
+}
+
+func (e *JobError) Error() string { return e.Err.Error() }
+
+func (e *JobError) Unwrap() error { return e.Err }
 
 // RetryPolicy bounds the retries a Session applies to transient store
 // errors (IsTransient). Non-transient errors are never retried.
@@ -147,19 +152,6 @@ func (s *Session) RunContext(ctx context.Context, c *scenario.Compiled, sink exp
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Gauge accounting: every job this run owns counts as queued until a
-	// worker picks it up (begin), then as in-flight until its lookup or
-	// simulation finishes (end). The deferred fixup drains whatever a
-	// cancelled run never started, so both gauges read 0 between runs.
-	owned := len(c.Jobs)
-	if !s.Shard.All() && owned > 0 {
-		owned = (owned - s.Shard.Index + s.Shard.Count - 1) / s.Shard.Count
-	}
-	var started atomic.Int64
-	s.queued.Add(int64(owned))
-	defer func() { s.queued.Add(started.Load() - int64(owned)) }()
-	begin := func() { started.Add(1); s.queued.Add(-1); s.inflight.Add(1) }
-	end := func() { s.inflight.Add(-1) }
 	var lookup func(i int) (scenario.Result, bool, error)
 	var save func(i int, r scenario.Result) error
 	if s.Store != nil {
@@ -175,10 +167,6 @@ func (s *Session) RunContext(ctx context.Context, c *scenario.Compiled, sink exp
 		// channel between them orders the accesses.
 		healed := make([]bool, len(c.Jobs))
 		lookup = func(i int) (scenario.Result, bool, error) {
-			// The lookup is where a worker first touches a job, so it
-			// starts the in-flight span; a hit (or a failure) ends it
-			// here, a miss hands the span over to run below.
-			begin()
 			var r scenario.Result
 			var ok bool
 			err := s.retry(ctx, hashes[i], func() (err error) {
@@ -189,7 +177,6 @@ func (s *Session) RunContext(ctx context.Context, c *scenario.Compiled, sink exp
 				// The entry is damaged but the row is reproducible:
 				// set the entry aside and re-simulate the job.
 				if qerr := q.Quarantine(hashes[i], err.Error()); qerr != nil {
-					end()
 					return r, false, fmt.Errorf("job %q (hash %s): quarantine: %w", c.Jobs[i].ID, hashes[i], qerr)
 				}
 				s.quarantined.Add(1)
@@ -197,7 +184,6 @@ func (s *Session) RunContext(ctx context.Context, c *scenario.Compiled, sink exp
 				return r, false, nil
 			}
 			if err != nil {
-				end()
 				return r, false, fmt.Errorf("job %q (hash %s): %w", c.Jobs[i].ID, hashes[i], err)
 			}
 			if ok {
@@ -206,7 +192,6 @@ func (s *Session) RunContext(ctx context.Context, c *scenario.Compiled, sink exp
 				// indistinguishable from a fresh one.
 				r.ID = c.Jobs[i].ID
 				s.hits.Add(1)
-				end()
 			}
 			return r, ok, nil
 		}
@@ -224,13 +209,12 @@ func (s *Session) RunContext(ctx context.Context, c *scenario.Compiled, sink exp
 		}
 	}
 	run := func(i int) (scenario.Result, error) {
-		if lookup == nil {
-			begin() // no store: simulation is where the job starts
-		}
 		s.simulated.Add(1)
 		r, err := c.Jobs[i].Run(s.Engine)
-		end() // with a store, run only follows a lookup miss — same span
-		return r, err
+		if err != nil {
+			return r, &JobError{Index: i, Err: err}
+		}
+		return r, nil
 	}
 	return exp.StreamShardCached(ctx, s.Shard, workers, len(c.Jobs), lookup, run, save, sink)
 }
@@ -308,14 +292,3 @@ func (s *Session) Repaired() int64 { return s.repaired.Load() }
 // Retried reports how many store operations were retried after a
 // transient failure.
 func (s *Session) Retried() int64 { return s.retried.Load() }
-
-// QueueDepth reports how many jobs accepted by in-progress Run calls are
-// still waiting for a worker. It is a live gauge — 0 between runs — and
-// the single source of truth the serving layer's /metrics endpoint and
-// SIGINT drain summary both read.
-func (s *Session) QueueDepth() int64 { return s.queued.Load() }
-
-// InFlight reports how many of this session's jobs are executing right
-// now (store lookup through end of simulation). Like QueueDepth it is a
-// live gauge, 0 whenever no Run call is active.
-func (s *Session) InFlight() int64 { return s.inflight.Load() }

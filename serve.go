@@ -15,15 +15,15 @@ type (
 	// backends, GET /metrics exposes Prometheus metrics. Create with
 	// NewServer, mount on any http.Server, stop with Drain.
 	Server = serve.Server
-	// ServeOptions configure a Server (session worker count,
-	// concurrent plan bound, retry policy).
+	// ServeOptions configure a Server (in-process worker pool,
+	// concurrent plan bound, retry policy, coordinator mode).
 	ServeOptions = serve.Options
 	// PlanStatus is the JSON body of the server's plan status endpoints:
-	// the StorePlanInfo shape extended with run status and the live
-	// Session counters.
+	// the StorePlanInfo shape extended with run status and the latest
+	// run's live counters.
 	PlanStatus = serve.PlanStatus
-	// DrainSummary is what Server.Drain reports: the Session
-	// counters summed over every session the server ran.
+	// DrainSummary is what Server.Drain reports: the counters summed
+	// over every plan run the server made.
 	DrainSummary = serve.DrainSummary
 )
 
