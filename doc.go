@@ -293,7 +293,11 @@
 // sweep reuses the rows a Fig. 7 sweep recorded even though their job
 // IDs differ. Stored entries carry a checksum and a schema version: a
 // bit-flipped entry or an archive written by a newer build surfaces as
-// an error, never as a silently wrong bound. A warm re-run reads the
+// an error, never as a silently wrong bound. Every entry is one line in
+// the one framing DirStore writes, which a read cuts apart in place
+// before decoding the row once, so an entry in any other shape is
+// corrupt; and a DirStore refuses any job or plan hash but 64 lowercase
+// hex digits before it names a file. A warm re-run reads the
 // store and writes nothing: a plan manifest is rewritten only when its
 // bytes change (a new name for the plan, or a damaged file). The CLIs
 // expose all of this as -store <dir>; CI re-runs a sweep against a warm

@@ -2,7 +2,9 @@ package dist_test
 
 import (
 	"context"
+	"io/fs"
 	"net/http/httptest"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -148,4 +150,83 @@ func TestPushRejectedByRemoteGate(t *testing.T) {
 	if n, _ := remote.Len(); n != 0 {
 		t.Fatalf("remote recorded %d rows from a corrupt push, want 0", n)
 	}
+}
+
+// filesOutside lists the regular files under top that are not under
+// root.
+func filesOutside(t *testing.T, top, root string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(top, func(p string, de fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !de.IsDir() && !strings.HasPrefix(p, root+string(filepath.Separator)) {
+			out = append(out, p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSyncRefusesPathTraversal: a row whose hash is a path, pushed to a
+// server or pulled from one, is refused by the directory store that
+// would file it, and no file appears outside that store's root — the
+// hash names a file three levels up.
+func TestSyncRefusesPathTraversal(t *testing.T) {
+	const evil = "../../../x"
+	ctx := context.Background()
+
+	t.Run("push", func(t *testing.T) {
+		top := t.TempDir()
+		root := filepath.Join(top, "a", "st")
+		remote, err := store.OpenDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := serve.New(remote, serve.Options{})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		defer srv.Drain()
+
+		local := store.NewMem()
+		if err := local.Put(evil, scenario.Result{Cycles: 1}); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := dist.Push(ctx, local, ts.URL, nil)
+		if err == nil || rep.Rejected != 1 || rep.Transferred != 0 {
+			t.Errorf("push report %+v, err %v; want the row rejected", rep, err)
+		}
+		if out := filesOutside(t, filepath.Dir(top), root); len(out) != 0 {
+			t.Errorf("push wrote outside the store root: %v", out)
+		}
+	})
+
+	t.Run("pull", func(t *testing.T) {
+		remote := store.NewMem()
+		if err := remote.Put(evil, scenario.Result{Cycles: 1}); err != nil {
+			t.Fatal(err)
+		}
+		srv := serve.New(remote, serve.Options{})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		defer srv.Drain()
+
+		top := t.TempDir()
+		root := filepath.Join(top, "a", "st")
+		local, err := store.OpenDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := dist.Pull(ctx, local, ts.URL, nil)
+		if err == nil || rep.Transferred != 0 {
+			t.Errorf("pull report %+v, err %v; want the row refused", rep, err)
+		}
+		if out := filesOutside(t, filepath.Dir(top), root); len(out) != 0 {
+			t.Errorf("pull wrote outside the store root: %v", out)
+		}
+	})
 }

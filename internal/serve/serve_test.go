@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -823,5 +825,36 @@ func TestStorePlansEndpoint(t *testing.T) {
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatalf("plans JSON does not round-trip:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+	}
+}
+
+// TestPlanStatusRefusesPathTraversal: ServeMux decodes %2F inside
+// {hash}, so a plan hash can spell a path. A manifest planted beside the
+// store root under such a name must not be read: the status is 404.
+func TestPlanStatusRefusesPathTraversal(t *testing.T) {
+	top := t.TempDir()
+	st, err := store.OpenDir(filepath.Join(top, "a", "st"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := `{"schema": 1, "hash": "../../x", "jobs": []}` + "\n"
+	if err := os.WriteFile(filepath.Join(top, "a", "x.json"), []byte(planted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(st, serve.Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Drain()
+
+	for _, path := range []string{"/v1/plans/..%2F..%2Fx", "/v1/plans/..%2F..%2Fx/doc"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: HTTP %d (%s), want 404", path, resp.StatusCode, body)
+		}
 	}
 }

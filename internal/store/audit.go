@@ -86,6 +86,9 @@ func (d *Dir) PlanSpec(planHash string) (*scenario.Plan, error) {
 
 // readManifest reads and validates one plan manifest.
 func (d *Dir) readManifest(planHash string) (*planManifest, error) {
+	if err := checkHash(planHash); err != nil {
+		return nil, err
+	}
 	data, err := os.ReadFile(filepath.Join(d.root, "plans", planHash+".json"))
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)

@@ -34,6 +34,9 @@ type Quarantiner interface {
 // Quarantine implements Quarantiner: the entry file moves to
 // quarantine/<hash>.json and the reason is recorded next to it.
 func (d *Dir) Quarantine(jobHash, reason string) error {
+	if err := checkHash(jobHash); err != nil {
+		return err
+	}
 	return d.quarantineFile(d.jobPath(jobHash), jobHash, reason)
 }
 
@@ -95,6 +98,9 @@ func (d *Dir) Quarantined() ([]QuarantineInfo, error) {
 // Removing an absent entry is not an error, mirroring Quarantine's
 // idempotence.
 func (d *Dir) RemoveQuarantined(jobHash string) error {
+	if err := checkHash(jobHash); err != nil {
+		return err
+	}
 	for _, name := range []string{jobHash + ".json", jobHash + ".reason"} {
 		if err := os.Remove(filepath.Join(d.root, "quarantine", name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("store: %w", err)

@@ -24,10 +24,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -157,11 +159,20 @@ type planManifest struct {
 // sumOf is the integrity checksum of a stored row: sha256 over the job
 // hash and the row's canonical bytes.
 func sumOf(jobHash string, row []byte) string {
+	sum := rowSum([]byte(jobHash), row)
+	return string(sum[:])
+}
+
+// rowSum is sumOf over the job hash's bytes, hex-encoded into an array —
+// the form Get compares against a stored sum without allocating.
+func rowSum(jobHash, row []byte) (sum [2 * sha256.Size]byte) {
 	h := sha256.New()
-	h.Write([]byte(jobHash))
+	h.Write(jobHash)
 	h.Write([]byte{'\n'})
 	h.Write(row)
-	return hex.EncodeToString(h.Sum(nil))
+	var raw [sha256.Size]byte
+	hex.Encode(sum[:], h.Sum(raw[:0]))
+	return sum
 }
 
 // Dir is a directory-backed Store:
@@ -176,6 +187,15 @@ func sumOf(jobHash string, row []byte) string {
 // root; at worst two writers race to create the identical entry. A plan
 // manifest is written only when its bytes change, so a warm re-run of a
 // recorded plan reads the store and writes nothing.
+//
+// Every entry is one line in one framing, the bytes marshalEntry writes:
+//
+//	{"schema":N,"hash":"H","sum":"S","result":ROW}
+//
+// Get reads that framing only; an entry in any other shape is corrupt.
+// Job and plan hashes become file names, so every method that turns one
+// into a path refuses anything but 64 lowercase hex digits — the only
+// hashes scenario computes — and no name can reach outside the root.
 type Dir struct {
 	root string
 }
@@ -238,48 +258,195 @@ func (d *Dir) jobPath(jobHash string) string {
 	return filepath.Join(d.root, "jobs", prefix, jobHash+".json")
 }
 
+// checkHash refuses a job or plan hash that is not 64 lowercase hex
+// digits before it becomes a file name. The error is neither transient
+// nor corrupt: nothing stored is at fault, and retrying cannot help.
+func checkHash(hash string) error {
+	if len(hash) == 2*sha256.Size && strings.Trim(hash, "0123456789abcdef") == "" {
+		return nil
+	}
+	return fmt.Errorf("store: %q is not a content hash (64 lowercase hex digits)", hash)
+}
+
 // Get implements Store, verifying the entry's integrity before trusting
-// it: the envelope must parse, carry a readable schema, be filed under
-// its own hash, and its checksum must match the stored row bytes.
-// Verification failures are CorruptErrors (quarantinable, re-derivable);
-// I/O failures are TransientErrors (retryable); schema-from-the-future
-// is neither — see the taxonomy in errors.go.
+// it: the entry must be in the store's framing (see Dir), carry a
+// readable schema, be filed under its own hash, and its checksum must
+// match the stored row bytes, which are decoded once. Verification
+// failures are CorruptErrors (quarantinable, re-derivable); I/O failures
+// are TransientErrors (retryable); schema-from-the-future is neither —
+// see the taxonomy in errors.go.
 func (d *Dir) Get(jobHash string) (scenario.Result, bool, error) {
 	var zero scenario.Result
-	data, err := os.ReadFile(d.jobPath(jobHash))
+	if err := checkHash(jobHash); err != nil {
+		return zero, false, err
+	}
+	buf, err := readEntry(d.jobPath(jobHash))
 	if errors.Is(err, fs.ErrNotExist) {
 		return zero, false, nil
 	}
 	if err != nil {
 		return zero, false, Transient(err)
 	}
-	var e entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return zero, false, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("entry does not parse: %v", err)}
-	}
-	if e.Schema > scenario.ResultSchema {
-		return zero, false, fmt.Errorf("store: %s: entry schema %d but this build reads <= %d — store written by a newer version?",
-			jobHash, e.Schema, scenario.ResultSchema)
-	}
-	if e.Hash != jobHash {
-		return zero, false, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("entry claims hash %s", e.Hash)}
-	}
-	if got := sumOf(jobHash, e.Result); got != e.Sum {
-		return zero, false, &CorruptError{Hash: jobHash,
-			Reason: fmt.Sprintf("checksum mismatch (stored %s, computed %s) — corrupted entry", e.Sum, got)}
-	}
-	var r scenario.Result
-	if err := json.Unmarshal(e.Result, &r); err != nil {
-		return zero, false, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("row does not parse: %v", err)}
-	}
-	if r.Schema > scenario.ResultSchema {
-		return zero, false, fmt.Errorf("store: %s: row schema %d but this build reads <= %d", jobHash, r.Schema, scenario.ResultSchema)
+	r, err := decodeEntry(jobHash, *buf)
+	releaseEntry(buf)
+	if err != nil {
+		return zero, false, err
 	}
 	return r, true, nil
 }
 
+// entryBufs pools the buffers Get reads entries into. Entries are a few
+// hundred bytes; a buffer that a trace-window row grew past
+// maxPooledEntry is dropped rather than kept.
+var entryBufs = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 1<<10)
+	return &buf
+}}
+
+const maxPooledEntry = 16 << 10
+
+// readEntry reads the file at path into a pooled buffer, through one
+// open file, until EOF. The caller hands the buffer back with
+// releaseEntry once nothing it keeps aliases the bytes.
+func readEntry(path string) (*[]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := entryBufs.Get().(*[]byte)
+	b := (*buf)[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := f.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*buf = b
+			if err == io.EOF {
+				return buf, nil
+			}
+			releaseEntry(buf)
+			return nil, err
+		}
+	}
+}
+
+// releaseEntry returns a buffer readEntry filled to the pool.
+func releaseEntry(buf *[]byte) {
+	if cap(*buf) <= maxPooledEntry {
+		*buf = (*buf)[:0]
+		entryBufs.Put(buf)
+	}
+}
+
+// decodeEntry verifies and decodes the bytes of the entry filed under
+// jobHash, with the checks and error classes Get documents. Nothing it
+// returns aliases data.
+func decodeEntry(jobHash string, data []byte) (scenario.Result, error) {
+	var zero scenario.Result
+	f, ok := cutEntry(data)
+	if !ok {
+		return zero, &CorruptError{Hash: jobHash, Reason: "entry is not in the framing Put writes"}
+	}
+	if f.schema > scenario.ResultSchema {
+		// A newer build's entry need not pass this build's checks, but it
+		// must be the JSON its framing says it is.
+		if !json.Valid(data) || !json.Valid(f.row) {
+			return zero, &CorruptError{Hash: jobHash, Reason: "entry does not parse"}
+		}
+		return zero, fmt.Errorf("store: %s: entry schema %d but this build reads <= %d — store written by a newer version?",
+			jobHash, f.schema, scenario.ResultSchema)
+	}
+	if string(f.hash) != jobHash {
+		return zero, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("entry claims hash %s", f.hash)}
+	}
+	if got := rowSum(f.hash, f.row); !bytes.Equal(got[:], f.sum) {
+		return zero, &CorruptError{Hash: jobHash,
+			Reason: fmt.Sprintf("checksum mismatch (stored %s, computed %s) — corrupted entry", f.sum, got[:])}
+	}
+	var r scenario.Result
+	if err := json.Unmarshal(f.row, &r); err != nil {
+		return zero, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("row does not parse: %v", err)}
+	}
+	if r.Schema > scenario.ResultSchema {
+		return zero, fmt.Errorf("store: %s: row schema %d but this build reads <= %d", jobHash, r.Schema, scenario.ResultSchema)
+	}
+	return r, nil
+}
+
+// frame is an entry cut at the seams of its framing; hash, sum and row
+// alias the entry's bytes.
+type frame struct {
+	schema         int
+	hash, sum, row []byte
+}
+
+// cutEntry cuts an entry in the framing marshalEntry writes,
+//
+//	{"schema":N,"hash":"H","sum":"S","result":ROW}\n
+//
+// into its fields, in place, and reports false for any other shape. N
+// is read as a JSON decoder reads an int, and ROW — everything up to the
+// closing brace and newline — must neither start nor end with white
+// space, so that where ROW holds one JSON value, a JSON decoder of the
+// entry reads exactly these four fields.
+func cutEntry(data []byte) (f frame, ok bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"schema":`))
+	if !ok {
+		return f, false
+	}
+	if f.schema, rest, ok = cutInt(rest); !ok {
+		return f, false
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"hash":"`)); !ok {
+		return f, false
+	}
+	if f.hash, rest, ok = bytes.Cut(rest, []byte(`","sum":"`)); !ok {
+		return f, false
+	}
+	if f.sum, rest, ok = bytes.Cut(rest, []byte(`","result":`)); !ok {
+		return f, false
+	}
+	if f.row, ok = bytes.CutSuffix(rest, []byte("}\n")); !ok || len(f.row) == 0 {
+		return f, false
+	}
+	if isSpace(f.row[0]) || isSpace(f.row[len(f.row)-1]) {
+		return f, false
+	}
+	return f, true
+}
+
+// cutInt cuts a JSON integer that fits an int off the front of b: an
+// optional minus sign, then 0 or digits without a leading zero.
+func cutInt(b []byte) (n int, rest []byte, ok bool) {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	digits := i
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	if i == digits || b[digits] == '0' && i > digits+1 {
+		return 0, b, false
+	}
+	n, err := strconv.Atoi(string(b[:i]))
+	if err != nil {
+		return 0, b, false
+	}
+	return n, b[i:], true
+}
+
+// isSpace reports whether c is JSON white space.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
 // Put implements Store.
 func (d *Dir) Put(jobHash string, r scenario.Result) error {
+	if err := checkHash(jobHash); err != nil {
+		return err
+	}
 	data, err := marshalEntry(jobHash, r)
 	if err != nil {
 		return err
@@ -375,7 +542,8 @@ func (d *Dir) Len() (int, error) {
 
 // JobHashes lists every stored row hash in lexical order (a directory
 // walk) — the store's side of a push/pull delta diff and the scan gc and
-// compact iterate.
+// compact iterate. A file whose name is not a content hash holds no row
+// and is left to Verify to report.
 func (d *Dir) JobHashes() ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(filepath.Join(d.root, "jobs"), func(_ string, de fs.DirEntry, err error) error {
@@ -385,7 +553,7 @@ func (d *Dir) JobHashes() ([]string, error) {
 		if de.IsDir() {
 			return nil
 		}
-		if h, ok := strings.CutSuffix(de.Name(), ".json"); ok && h != "" {
+		if h, ok := strings.CutSuffix(de.Name(), ".json"); ok && checkHash(h) == nil {
 			out = append(out, h)
 		}
 		return nil
@@ -401,6 +569,9 @@ func (d *Dir) JobHashes() ([]string, error) {
 // an error (gc races with concurrent writers by design — at worst two
 // collectors race to remove the same file).
 func (d *Dir) RemoveJob(jobHash string) error {
+	if err := checkHash(jobHash); err != nil {
+		return err
+	}
 	if err := os.Remove(d.jobPath(jobHash)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("store: %w", err)
 	}

@@ -2,6 +2,8 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -273,6 +275,63 @@ func TestCorruptionHeals(t *testing.T) {
 	}
 	if !strings.Contains(err2str(strict, c), "hash ") {
 		t.Error("store error does not name the job content hash")
+	}
+}
+
+// TestReframedEntryHeals: an entry whose bytes leave the store's
+// framing — re-indented, or with its keys reordered — is corrupt even
+// though its JSON still holds the right row under the right checksum,
+// and a Session heals it: one entry quarantined and repaired, the render
+// and the rewritten entry byte-identical to the clean ones.
+func TestReframedEntryHeals(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		layout string
+	}{
+		{"reindented", "{\n  \"schema\": %s,\n  \"hash\": %s,\n  \"sum\": %s,\n  \"result\": %s\n}\n"},
+		{"reordered", `{"hash":%[2]s,"schema":%[1]s,"sum":%[3]s,"result":%[4]s}` + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := filepath.Join(t.TempDir(), "results")
+			d, err := store.OpenDir(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := compileFig7(t, 4)
+			_, cleanText, _ := runAll(t, d, c)
+			h := c.JobHashes()[2]
+			path := filepath.Join(root, "jobs", h[:2], h+".json")
+			clean, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e map[string]json.RawMessage
+			if err := json.Unmarshal(clean, &e); err != nil {
+				t.Fatal(err)
+			}
+			reframed := fmt.Sprintf(tc.layout, e["schema"], e["hash"], e["sum"], e["result"])
+			if err := os.WriteFile(path, []byte(reframed), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := d.Get(h); !store.IsCorrupt(err) {
+				t.Fatalf("get of the %s entry: %v, want a CorruptError", tc.name, err)
+			}
+
+			_, healedText, sess := runAll(t, d, c)
+			if healedText != cleanText {
+				t.Error("healed run renders differently from the clean run")
+			}
+			if sess.Quarantined() != 1 || sess.Repaired() != 1 {
+				t.Errorf("healing run quarantined %d / repaired %d entries, want 1/1", sess.Quarantined(), sess.Repaired())
+			}
+			healed, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(healed, clean) {
+				t.Errorf("healed entry\n%s\nwant\n%s", healed, clean)
+			}
+		})
 	}
 }
 
