@@ -282,10 +282,12 @@
 //
 // Recorded rows are also reusable across runs and plans. Every Job has
 // a content hash — a sha256 over the canonicalized scenario (labels
-// stripped, build defaults made explicit) plus the isolation pairing —
-// and a compiled Plan hashes its ordered job list. A Store keys rows by
-// job hash: the in-memory MemStore for in-process pipelines, the
-// directory-backed DirStore (integrity-checked entries under
+// stripped, build defaults made explicit) plus the isolation pairing,
+// encoded by hand into exactly the JSON json.Marshal writes — and a
+// compiled Plan hashes its ordered job list; a committed golden pins
+// these addresses, since a drifting hash would orphan every stored row.
+// A Store keys rows by job hash: the in-memory MemStore for in-process
+// pipelines, the directory-backed DirStore (integrity-checked entries under
 // jobs/<hh>/<hash>.json plus per-plan manifests under plans/) for
 // sharing across processes and machines. A Session consults the store
 // before simulating, records fresh rows as they stream, and counts
@@ -295,7 +297,9 @@
 // bit-flipped entry or an archive written by a newer build surfaces as
 // an error, never as a silently wrong bound. Every entry is one line in
 // the one framing DirStore writes, which a read cuts apart in place
-// before decoding the row once, so an entry in any other shape is
+// before decoding the row once (in one pass without reflection; only a
+// row in another shape, such as one a build with a different Result
+// wrote, goes through json.Unmarshal), so an entry in any other shape is
 // corrupt; and a DirStore refuses any job or plan hash but 64 lowercase
 // hex digits before it names a file. A warm re-run reads the
 // store and writes nothing: a plan manifest is rewritten only when its

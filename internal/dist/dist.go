@@ -137,7 +137,9 @@ func WireRow(jobHash string, r scenario.Result) (ResultRow, error) {
 // DecodeRow verifies a wire row's integrity and decodes it: the checksum
 // must match the bytes, the bytes must parse, and the schema must be
 // readable by this build. This is the ingest-side gate — a row that
-// fails here is never recorded.
+// fails here is never recorded. The bytes are decoded as the store
+// decodes a stored row, by scenario.DecodeResult, which reads the
+// compact rows WireRow sends in one pass.
 func DecodeRow(row ResultRow) (scenario.Result, error) {
 	var zero scenario.Result
 	if row.Hash == "" {
@@ -156,8 +158,8 @@ func DecodeRow(row ResultRow) (scenario.Result, error) {
 	if got := store.SumRow(row.Hash, raw); got != row.Sum {
 		return zero, fmt.Errorf("dist: %s: checksum mismatch (sent %s, computed %s) — corrupted in transit", row.Hash, row.Sum, got)
 	}
-	var r scenario.Result
-	if err := json.Unmarshal(raw, &r); err != nil {
+	r, err := scenario.DecodeResult(raw)
+	if err != nil {
 		return zero, fmt.Errorf("dist: %s: row does not parse: %v", row.Hash, err)
 	}
 	if r.Schema > scenario.ResultSchema {

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ResultSchema is the current version of the Result JSONL row format.
@@ -30,10 +32,42 @@ func CheckResultSchema(rs []Result) error {
 	return nil
 }
 
-// canonical returns the scenario with build-time defaults made explicit
-// and pure labeling removed, so equivalent scenarios hash equal:
+// Hash is the job's content address: a sha256 over the canonical JSON of
+// everything that determines its measurement — the canonicalized
+// scenario and the isolation pairing — and nothing that merely labels it
+// (the job ID). Jobs from different plans that measure the same thing
+// therefore share a hash, which is what lets a derivation sweep reuse
+// the rows a figure sweep recorded. The current ResultSchema is part of
+// the hashed preamble, so a schema bump retires every old address at
+// once.
 //
-//   - Name is cleared: it labels the run and never reaches a Result row.
+// The preamble and the canonical JSON (see appendCanonical) are appended
+// into a stack buffer and hashed in one call, so a job whose JSON fits
+// the buffer and whose strings need no escape hashes with one
+// allocation, the returned string.
+func (j Job) Hash() string {
+	var buf [512]byte
+	b := append(buf[:0], "rrbus job schema="...)
+	b = strconv.AppendInt(b, ResultSchema, 10)
+	b = append(b, '\n')
+	sum := sha256.Sum256(j.appendCanonical(b))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
+}
+
+// appendCanonical appends the canonical JSON of the job: the bytes
+// json.Marshal writes for
+//
+//	struct {
+//		Scenario  Scenario `json:"scenario"`
+//		Isolation bool     `json:"isolation,omitempty"`
+//	}
+//
+// holding the job's scenario with build-time defaults made explicit and
+// pure labeling removed, so equivalent scenarios hash equal:
+//
+//   - Name is left out: it labels the run and never reaches a Result row.
 //   - Workload.Seed 0 becomes 1 (build substitutes 1).
 //   - Protocol zeros become the sim defaults (warmup 2, 10 iters).
 //   - Contender specs are trimmed and "" becomes "idle" (Build treats
@@ -50,53 +84,115 @@ func CheckResultSchema(rs []Result) error {
 // Config.Name (e.g. "ref"+"rr" builds "ngmp-ref-rr", not "ngmp-ref"),
 // which Result rows echo, so spelling a default explicitly is a
 // different — byte-observable — measurement.
-func (s Scenario) canonical() Scenario {
-	s.Name = ""
-	if s.Workload.Seed == 0 {
-		s.Workload.Seed = 1
+//
+// Members follow the field order and omitempty rules of the struct
+// tags, numbers are written as strconv writes them, and strings go
+// through appendString. The test file keeps the json.Marshal form as
+// the reference the encoding is checked against.
+func (j Job) appendCanonical(b []byte) []byte {
+	p, w, pr := &j.Scenario.Platform, &j.Scenario.Workload, &j.Scenario.Protocol
+	b = append(b, `{"scenario":{"platform":{`...)
+	if p.Arch != "" {
+		b = appendString(appendKey(b, "arch"), p.Arch)
 	}
-	if s.Protocol.Warmup == 0 {
-		s.Protocol.Warmup = 2
+	b = appendInt(b, "cores", p.Cores)
+	b = appendInt(b, "transfer", p.Transfer)
+	b = appendInt(b, "l2hit", p.L2Hit)
+	b = appendInt(b, "nop_latency", p.NopLatency)
+	b = appendInt(b, "store_buffer", p.StoreBuffer)
+	if p.Arbiter != "" {
+		b = appendString(appendKey(b, "arbiter"), p.Arbiter)
 	}
-	if s.Protocol.Iters == 0 {
-		s.Protocol.Iters = 10
+	b = appendInt(b, "tdma_slot", p.TDMASlot)
+	if p.LotterySeed != 0 {
+		b = strconv.AppendUint(appendKey(b, "lottery_seed"), p.LotterySeed, 10)
 	}
-	var cont []string
-	for _, c := range s.Workload.Contenders {
-		c = strings.TrimSpace(c)
-		if c == "" {
-			c = IdleSpec
+	if len(p.WRRWeights) > 0 {
+		b = append(appendKey(b, "wrr_weights"), '[')
+		for i, wt := range p.WRRWeights {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(wt), 10)
 		}
-		cont = append(cont, c)
+		b = append(b, ']')
 	}
-	s.Workload.Contenders = cont
-	return s
+	b = appendString(append(b, `},"workload":{"scua":`...), w.Scua)
+	b = appendInt(b, "scua_core", w.ScuaCore)
+	if len(w.Contenders) > 0 {
+		b = append(appendKey(b, "contenders"), '[')
+		for i, c := range w.Contenders {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if c = strings.TrimSpace(c); c == "" {
+				c = IdleSpec
+			}
+			b = appendString(b, c)
+		}
+		b = append(b, ']')
+	}
+	seed := w.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	b = strconv.AppendUint(append(b, `,"seed":`...), seed, 10)
+	b = appendInt(b, "unroll", w.Unroll)
+	warmup, iters := pr.Warmup, pr.Iters
+	if warmup == 0 {
+		warmup = 2
+	}
+	if iters == 0 {
+		iters = 10
+	}
+	b = strconv.AppendUint(append(b, `},"protocol":{"warmup":`...), warmup, 10)
+	b = strconv.AppendUint(append(b, `,"iters":`...), iters, 10)
+	if pr.Gammas {
+		b = append(b, `,"gammas":true`...)
+	}
+	b = appendInt(b, "trace", pr.Trace)
+	b = append(b, "}}"...)
+	if j.Isolation {
+		b = append(b, `,"isolation":true`...)
+	}
+	return append(b, '}')
 }
 
-// Hash is the job's content address: a sha256 over the canonical JSON of
-// everything that determines its measurement — the canonicalized
-// scenario and the isolation pairing — and nothing that merely labels it
-// (the job ID). Jobs from different plans that measure the same thing
-// therefore share a hash, which is what lets a derivation sweep reuse
-// the rows a figure sweep recorded. The current ResultSchema is part of
-// the hashed preamble, so a schema bump retires every old address at
-// once.
-func (j Job) Hash() string {
-	c := struct {
-		Scenario  Scenario `json:"scenario"`
-		Isolation bool     `json:"isolation,omitempty"`
-	}{j.Scenario.canonical(), j.Isolation}
-	b, err := json.Marshal(c)
-	if err != nil {
-		// Scenario is plain data (strings, ints, bools); Marshal cannot
-		// fail on it. A failure means the struct grew an unmarshalable
-		// field — a programming error, not a runtime condition.
-		panic(fmt.Sprintf("scenario: job hash marshal: %v", err))
+// appendKey appends an object member's key, after a comma unless the
+// member is the object's first (b ends with its opening brace: no value
+// ends with one).
+func appendKey(b []byte, key string) []byte {
+	if b[len(b)-1] != '{' {
+		b = append(b, ',')
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "rrbus job schema=%d\n", ResultSchema)
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil))
+	b = append(b, '"')
+	b = append(b, key...)
+	return append(b, '"', ':')
+}
+
+// appendInt appends the member key:n of an omitempty int, and nothing
+// for 0.
+func appendInt(b []byte, key string, n int) []byte {
+	if n == 0 {
+		return b
+	}
+	return strconv.AppendInt(appendKey(b, key), int64(n), 10)
+}
+
+// appendString appends s as json.Marshal quotes it. Printable ASCII that
+// needs no escape is quoted as is; any other string is encoded by
+// encoding/json itself, so its escapes (HTML-safe <, > and &, control
+// bytes, U+2028 and U+2029, invalid UTF-8 replaced) stay its own.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Compiled is a plan resolved to its canonical, content-addressed form:

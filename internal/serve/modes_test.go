@@ -282,6 +282,50 @@ func testFaulty(t *testing.T, m mode) {
 	checkDrain(t, ms, checkScrape(t, ms.ts.URL, scrape, warm))
 }
 
+// flakyPlans is a directory store whose first PutPlan fails with a
+// transient error, as a manifest write on a flaky filesystem would.
+type flakyPlans struct {
+	*store.Dir
+	putPlans atomic.Int64
+}
+
+func (f *flakyPlans) PutPlan(c *scenario.Compiled) error {
+	if f.putPlans.Add(1) == 1 {
+		return store.Transient(store.ErrInjected)
+	}
+	return f.Dir.PutPlan(c)
+}
+
+// TestServeRetriesPutPlan: in both modes a transient failure to record
+// a plan's manifest retries under Options.Retry, like the plan's store
+// reads, and the retry shows in the plan's counters.
+func TestServeRetriesPutPlan(t *testing.T) {
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			d, err := store.OpenDir(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &flakyPlans{Dir: d}
+			ms := startServer(t, m, st, serve.Options{Retry: store.RetryPolicy{Max: 2, BaseDelay: time.Millisecond}})
+			ms.startWorker()
+			c := compileBody(t, fig7Body)
+			postPlan(t, ms.ts.URL, fig7Body)
+			got := waitStatus(t, ms.ts.URL, c.Hash())
+			if got.Status != serve.StatusComplete {
+				t.Fatalf("run ended %q (err %q) on a transient manifest-write error", got.Status, got.Err)
+			}
+			if n := st.putPlans.Load(); n != 2 || got.Retried != 1 {
+				t.Errorf("%d PutPlan calls and %d retries, want 2 and 1", n, got.Retried)
+			}
+			if plans, err := d.Plans(); err != nil || len(plans) != 1 || plans[0] != c.Hash() {
+				t.Errorf("recorded plans %v (err %v), want the run's plan", plans, err)
+			}
+			checkDocs(t, ms.ts.URL, c, runCLI(t, c))
+		})
+	}
+}
+
 // TestServeFailingJob: a job that fails to simulate fails its plan with
 // the simulation error, in both modes, instead of being retried forever.
 func TestServeFailingJob(t *testing.T) {

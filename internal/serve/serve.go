@@ -70,8 +70,8 @@ type Options struct {
 	// further plans wait queued (0 = 2).
 	MaxActivePlans int
 	// Retry is the retry policy for transient store errors, applied to
-	// the plans' store reads and to recording rows (the CLIs use
-	// rrbus.DefaultRetry; the zero value disables retries).
+	// the plans' manifests, their store reads and to recording rows (the
+	// CLIs use rrbus.DefaultRetry; the zero value disables retries).
 	Retry store.RetryPolicy
 	// Distribute turns the server into a coordinator: the in-process
 	// pool is empty and rrbus-worker daemons lease the missing jobs over

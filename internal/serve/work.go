@@ -164,16 +164,20 @@ func (s *Server) handleStoreFetch(w http.ResponseWriter, r *http.Request) {
 }
 
 // run is a plan's one execution path: record the manifest, diff the
-// plan against the store (retrying transient errors under Options.Retry
-// and quarantining corrupt entries so they re-simulate), enqueue the
-// missing jobs and wait for the workers — in-process or remote — to hand
-// their rows over. Each row is read once: the results are the rows the
+// plan against the store (both retry transient errors under
+// Options.Retry, and the diff quarantines corrupt entries so they
+// re-simulate), enqueue the missing jobs and wait for the workers —
+// in-process or remote — to hand their rows over. Each row is read once: the results are the rows the
 // diff read plus the rows handed over, relabelled with the plan's job
 // IDs, so the document is byte-identical to a single-process render.
 func (s *Server) run(ps *planState) ([]scenario.Result, error) {
 	c := ps.plan
 	if pr, ok := s.st.(store.PlanRecorder); ok {
-		if err := pr.PutPlan(c); err != nil {
+		n, err := s.opts.Retry.Do(s.ctx, c.Hash(), func() error { return pr.PutPlan(c) })
+		ps.mu.Lock()
+		ps.retried += n
+		ps.mu.Unlock()
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -31,7 +31,9 @@ func benchDir(b *testing.B) (*Dir, []string) {
 // BenchmarkDirGet times one Dir.Get per op, cycling over the filled
 // rows, and then each of the four steps it takes after checking the hash
 // and joining the path: reading the entry file into a pooled buffer,
-// cutting the framing, checksumming the row bytes and decoding the row.
+// cutting the framing, checksumming the row bytes and decoding the row
+// with scenario.DecodeResult. row-json decodes the row with
+// json.Unmarshal, the reference DecodeResult replaced.
 func BenchmarkDirGet(b *testing.B) {
 	d, hashes := benchDir(b)
 	n := len(hashes)
@@ -82,6 +84,13 @@ func BenchmarkDirGet(b *testing.B) {
 		}
 	})
 	b.Run("row", func(b *testing.B) {
+		for i := 0; b.Loop(); i++ {
+			if _, err := scenario.DecodeResult(frames[i%n].row); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("row-json", func(b *testing.B) {
 		for i := 0; b.Loop(); i++ {
 			var r scenario.Result
 			if err := json.Unmarshal(frames[i%n].row, &r); err != nil {

@@ -236,7 +236,7 @@ func TestDirGetAllocs(t *testing.T) {
 		t.Fatalf("get: ok=%v err=%v", ok, err)
 	}
 	allocs := testing.AllocsPerRun(50, func() { d.Get(h) })
-	if allocs > 16 {
-		t.Errorf("%.0f allocations per Get, want at most 16", allocs)
+	if allocs > 7 {
+		t.Errorf("%.0f allocations per Get, want at most 7", allocs)
 	}
 }

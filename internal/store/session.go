@@ -49,8 +49,9 @@ type Session struct {
 	// Shard selects this machine's share of the jobs (the zero Shard
 	// runs them all).
 	Shard exp.Shard
-	// Retry bounds retries of transient store errors. The zero value
-	// disables retrying.
+	// Retry bounds retries of transient store errors: every Get and Put
+	// of a run, and the plan manifest it records. The zero value disables
+	// retrying.
 	Retry RetryPolicy
 	// Engine selects the simulator engine the session's jobs run on (the
 	// zero value is sim.Steady). Rows are identical in every engine and
@@ -156,7 +157,7 @@ func (s *Session) RunContext(ctx context.Context, c *scenario.Compiled, sink exp
 	var save func(i int, r scenario.Result) error
 	if s.Store != nil {
 		if pr, ok := s.Store.(PlanRecorder); ok {
-			if err := pr.PutPlan(c); err != nil {
+			if err := s.retry(ctx, c.Hash(), func() error { return pr.PutPlan(c) }); err != nil {
 				return err
 			}
 		}

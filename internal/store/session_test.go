@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,6 +175,42 @@ func TestSessionErrorsNameJobAndHash(t *testing.T) {
 				t.Error("wrapping lost the underlying error")
 			}
 		})
+	}
+}
+
+// flakyPlans is a directory store whose first PutPlan fails with a
+// transient error, as a manifest write on a flaky filesystem would.
+type flakyPlans struct {
+	*store.Dir
+	putPlans atomic.Int64
+}
+
+func (f *flakyPlans) PutPlan(c *scenario.Compiled) error {
+	if f.putPlans.Add(1) == 1 {
+		return store.Transient(store.ErrInjected)
+	}
+	return f.Dir.PutPlan(c)
+}
+
+// TestSessionRetriesPutPlan: a transient failure to record the plan
+// manifest retries under the session's policy, like every Get and Put
+// of the run, instead of failing the run.
+func TestSessionRetriesPutPlan(t *testing.T) {
+	c := compileFig7(t, 3)
+	d, err := store.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &flakyPlans{Dir: d}
+	sess := &store.Session{Store: st, Retry: store.RetryPolicy{Max: 2, BaseDelay: time.Millisecond}}
+	if _, err := sess.RunAll(c); err != nil {
+		t.Fatalf("run failed on a transient manifest-write error: %v", err)
+	}
+	if n := st.putPlans.Load(); n != 2 || sess.Retried() != 1 {
+		t.Errorf("%d PutPlan calls and %d retries, want 2 and 1", n, sess.Retried())
+	}
+	if plans, err := d.Plans(); err != nil || len(plans) != 1 || plans[0] != c.Hash() {
+		t.Errorf("recorded plans %v (err %v), want the run's plan", plans, err)
 	}
 }
 

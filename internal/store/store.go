@@ -193,6 +193,8 @@ func rowSum(jobHash, row []byte) (sum [2 * sha256.Size]byte) {
 //	{"schema":N,"hash":"H","sum":"S","result":ROW}
 //
 // Get reads that framing only; an entry in any other shape is corrupt.
+// ROW is the json.Marshal of the row, which Get decodes with
+// scenario.DecodeResult in one pass, without reflection.
 // Job and plan hashes become file names, so every method that turns one
 // into a path refuses anything but 64 lowercase hex digits — the only
 // hashes scenario computes — and no name can reach outside the root.
@@ -271,10 +273,10 @@ func checkHash(hash string) error {
 // Get implements Store, verifying the entry's integrity before trusting
 // it: the entry must be in the store's framing (see Dir), carry a
 // readable schema, be filed under its own hash, and its checksum must
-// match the stored row bytes, which are decoded once. Verification
-// failures are CorruptErrors (quarantinable, re-derivable); I/O failures
-// are TransientErrors (retryable); schema-from-the-future is neither —
-// see the taxonomy in errors.go.
+// match the stored row bytes, which scenario.DecodeResult decodes once.
+// Verification failures are CorruptErrors (quarantinable,
+// re-derivable); I/O failures are TransientErrors (retryable);
+// schema-from-the-future is neither — see the taxonomy in errors.go.
 func (d *Dir) Get(jobHash string) (scenario.Result, bool, error) {
 	var zero scenario.Result
 	if err := checkHash(jobHash); err != nil {
@@ -366,8 +368,8 @@ func decodeEntry(jobHash string, data []byte) (scenario.Result, error) {
 		return zero, &CorruptError{Hash: jobHash,
 			Reason: fmt.Sprintf("checksum mismatch (stored %s, computed %s) — corrupted entry", f.sum, got[:])}
 	}
-	var r scenario.Result
-	if err := json.Unmarshal(f.row, &r); err != nil {
+	r, err := scenario.DecodeResult(f.row)
+	if err != nil {
 		return zero, &CorruptError{Hash: jobHash, Reason: fmt.Sprintf("row does not parse: %v", err)}
 	}
 	if r.Schema > scenario.ResultSchema {
