@@ -85,7 +85,6 @@ func main() {
 	storeDir := flag.String("store", "", "content-addressed results store directory: serve recorded jobs, record fresh ones")
 	format := flag.String("format", "text", "render backend for the scenario derivation report: text, html or json (needs -scenario)")
 	flag.Parse()
-	rrbus.SetWorkers(*workers)
 	backend, err := rrbus.BackendByName(*format)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rrbus-derive:", err)
@@ -98,7 +97,7 @@ func main() {
 
 	if *scenarioFile != "" || *merge {
 		prog.RejectWithScenario("arch", "type", "cores", "transfer", "l2hit", "kmin", "kmax")
-		runScenario(*scenarioFile, *shardSpec, *out, *from, *storeDir, *merge, *jsonOut, *series, backend, flag.Args())
+		runScenario(*scenarioFile, *shardSpec, *out, *from, *storeDir, *workers, *merge, *jsonOut, *series, backend, flag.Args())
 		return
 	}
 	if *shardSpec != "" || *out != "" || *from != "" {
@@ -122,17 +121,17 @@ func main() {
 	}
 	// Non-positive geometry flags keep the base platform's value.
 	platform := rrbus.PlatformSpec{Arch: *arch, Cores: max(*cores, 0), Transfer: max(*transfer, 0), L2Hit: max(*l2hit, 0)}
-	runFlags(platform, rrbus.DeriveOptions{Type: t, KMin: *kmin, KMax: *kmax}, prog.OpenStore(*storeDir), *jsonOut, *series)
+	runFlags(platform, rrbus.DeriveOptions{Type: t, KMin: *kmin, KMax: *kmax}, prog.OpenStore(*storeDir), *workers, *jsonOut, *series)
 }
 
 // runFlags is the flag-mode path: the auto-extending derivation and the
 // naive baseline run on one Session — over the -store directory, or an
 // in-memory store that lets each extension pass reuse the k the previous
 // passes measured — and the derive report prints with the naive line.
-func runFlags(platform rrbus.PlatformSpec, opt rrbus.DeriveOptions, st rrbus.Store, jsonOut, series bool) {
+func runFlags(platform rrbus.PlatformSpec, opt rrbus.DeriveOptions, st rrbus.Store, workers int, jsonOut, series bool) {
 	ctx, stop := rrbus.SignalContext()
 	defer stop()
-	sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry}
+	sess := &rrbus.Session{Store: st, Workers: workers, Retry: rrbus.DefaultRetry}
 	if st == nil {
 		sess.Store = rrbus.NewMemStore()
 	}
@@ -163,7 +162,7 @@ func runFlags(platform rrbus.PlatformSpec, opt rrbus.DeriveOptions, st rrbus.Sto
 // every case the detection half (DeriveFromResults) runs over recorded
 // results only. -json/-series apply to the detection report exactly as
 // in the flag mode.
-func runScenario(path, shardSpec, out, from, storeDir string, merge, jsonOut, series bool, backend rrbus.Backend, args []string) {
+func runScenario(path, shardSpec, out, from, storeDir string, workers int, merge, jsonOut, series bool, backend rrbus.Backend, args []string) {
 	if path == "" {
 		prog.Fail(fmt.Errorf("-merge needs -scenario (the plan defines the k range and platform)"))
 	}
@@ -206,7 +205,7 @@ func runScenario(path, shardSpec, out, from, storeDir string, merge, jsonOut, se
 		prog.Fail(err)
 		ctx, stop := rrbus.SignalContext()
 		defer stop()
-		sess := &rrbus.Session{Store: st, Shard: shard, Retry: rrbus.DefaultRetry}
+		sess := &rrbus.Session{Store: st, Workers: workers, Shard: shard, Retry: rrbus.DefaultRetry}
 		err = sess.RunToFileContext(ctx, plan, out)
 		prog.ReportStore(sess, st)
 		prog.ExitIfInterrupted(err, st)
@@ -218,7 +217,7 @@ func runScenario(path, shardSpec, out, from, storeDir string, merge, jsonOut, se
 		}
 		ctx, stop := rrbus.SignalContext()
 		defer stop()
-		sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry}
+		sess := &rrbus.Session{Store: st, Workers: workers, Retry: rrbus.DefaultRetry}
 		results, err = sess.RunAllContext(ctx, plan)
 		prog.ReportStore(sess, st)
 		prog.ExitIfInterrupted(err, st)

@@ -72,7 +72,6 @@ func main() {
 	format := flag.String("format", "text", "render backend: text, html or json")
 	docFile := flag.String("doc", "", "re-render this saved JSON document through -format (no simulation, no scenario)")
 	flag.Parse()
-	rrbus.SetWorkers(*workers)
 	backend, err := rrbus.BackendByName(*format)
 	prog.Fail(err)
 
@@ -109,7 +108,7 @@ func main() {
 	ctx, stop := rrbus.SignalContext()
 	defer stop()
 	if *scenarioFile != "" {
-		runScenario(ctx, *scenarioFile, *shardSpec, *out, *from, st, backend)
+		runScenario(ctx, *scenarioFile, *shardSpec, *out, *from, st, *workers, backend)
 		return
 	}
 	if *shardSpec != "" || *out != "" {
@@ -157,7 +156,7 @@ func main() {
 			if *from != "" {
 				prog.Fail(fmt.Errorf("-fig table runs auto-extending derivation plans and cannot replay from one JSONL recording"))
 			}
-			appendDoc(combined, *fig, rrbus.SummaryDocument(summary(ctx, st)))
+			appendDoc(combined, *fig, rrbus.SummaryDocument(summary(ctx, st, *workers)))
 			continue
 		}
 		if *from != "" && *fig == "all" {
@@ -168,7 +167,7 @@ func main() {
 		}
 		plan, err := rrbus.GeneratorPlan(s.generator, s.params)
 		prog.Fail(err)
-		results, err := obtainResults(ctx, plan, st, *from)
+		results, err := obtainResults(ctx, plan, st, *workers, *from)
 		prog.Fail(err)
 		doc, err := rrbus.DocumentFor(plan, results)
 		prog.Fail(err)
@@ -196,8 +195,8 @@ func appendDoc(combined *rrbus.Document, fig string, doc *rrbus.Document) {
 // summary derives the headline table on ref and var. Every pass runs on
 // one Session over the -store directory, or over an in-memory store that
 // lets each extension pass reuse the k the previous passes measured.
-func summary(ctx context.Context, st rrbus.Store) []rrbus.SummaryRow {
-	sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry}
+func summary(ctx context.Context, st rrbus.Store, workers int) []rrbus.SummaryRow {
+	sess := &rrbus.Session{Store: st, Workers: workers, Retry: rrbus.DefaultRetry}
 	if st == nil {
 		sess.Store = rrbus.NewMemStore()
 	}
@@ -212,11 +211,11 @@ func summary(ctx context.Context, st rrbus.Store) []rrbus.SummaryRow {
 // recorded JSONL file when path is set, run through a (store-aware)
 // session otherwise. Either way the renderers downstream see the same
 // thing — recorded results.
-func obtainResults(ctx context.Context, plan *rrbus.Plan, st rrbus.Store, path string) ([]rrbus.Result, error) {
+func obtainResults(ctx context.Context, plan *rrbus.Plan, st rrbus.Store, workers int, path string) ([]rrbus.Result, error) {
 	if path != "" {
 		return rrbus.ReadResultsFile(path)
 	}
-	sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry}
+	sess := &rrbus.Session{Store: st, Workers: workers, Retry: rrbus.DefaultRetry}
 	results, err := sess.RunAllContext(ctx, plan)
 	prog.ReportStore(sess, st)
 	prog.ExitIfInterrupted(err, st)
@@ -226,7 +225,7 @@ func obtainResults(ctx context.Context, plan *rrbus.Plan, st rrbus.Store, path s
 // runScenario compiles a scenario file and either streams this shard's
 // share of its jobs as JSONL to -out, or renders the plan's figure from
 // results — run through the session, or replayed from -from.
-func runScenario(ctx context.Context, path, shardSpec, out, from string, st rrbus.Store, backend rrbus.Backend) {
+func runScenario(ctx context.Context, path, shardSpec, out, from string, st rrbus.Store, workers int, backend rrbus.Backend) {
 	plan, err := rrbus.LoadPlan(path)
 	prog.Fail(err)
 	shard, err := rrbus.ParseShard(shardSpec)
@@ -245,7 +244,7 @@ func runScenario(ctx context.Context, path, shardSpec, out, from string, st rrbu
 		if !shard.All() {
 			prog.Fail(fmt.Errorf("-shard %s without -out would drop the shard rows; add -out", shard))
 		}
-		sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry}
+		sess := &rrbus.Session{Store: st, Workers: workers, Retry: rrbus.DefaultRetry}
 		results, err := sess.RunAllContext(ctx, plan)
 		prog.ReportStore(sess, st)
 		prog.ExitIfInterrupted(err, st)
@@ -254,7 +253,7 @@ func runScenario(ctx context.Context, path, shardSpec, out, from string, st rrbu
 		return
 	}
 
-	sess := &rrbus.Session{Store: st, Shard: shard, Retry: rrbus.DefaultRetry}
+	sess := &rrbus.Session{Store: st, Workers: workers, Shard: shard, Retry: rrbus.DefaultRetry}
 	err = sess.RunToFileContext(ctx, plan, out)
 	prog.ReportStore(sess, st)
 	prog.ExitIfInterrupted(err, st)

@@ -51,7 +51,6 @@ func main() {
 	noFF := flag.Bool("no-fast-forward", false, "execute cycle-by-cycle instead of event-driven (engine modes: default = event-driven + steady-state memoization; -no-steady-state = event-driven only; -no-fast-forward = cycle-by-cycle oracle; results are bit-identical across all three, CI diffs them)")
 	noSS := flag.Bool("no-steady-state", false, "execute every event instead of extrapolating detected steady-state periods (results are identical; CI diffs the modes)")
 	flag.Parse()
-	rrbus.SetWorkers(*workers)
 	engine := rrbus.EngineSteady
 	switch {
 	case *noFF:
@@ -71,7 +70,7 @@ func main() {
 		// rows flush to the store and -out), a second one kills it.
 		ctx, stop := rrbus.SignalContext()
 		defer stop()
-		sess := &rrbus.Session{Store: st, Retry: rrbus.DefaultRetry, Engine: engine}
+		sess := &rrbus.Session{Store: st, Workers: *workers, Retry: rrbus.DefaultRetry, Engine: engine}
 		if *out != "" {
 			err = sess.RunToFileContext(ctx, plan, *out)
 			prog.ReportStore(sess, st)

@@ -63,8 +63,20 @@
 // and Summary runs both per platform to build the headline table.
 //
 // The derived bound pads execution-time bounds for measurement-based timing
-// analysis: ETB = ExecTime_isolation + nr * ubdm, where nr is the task's
-// bus-request count read from a PMC.
+// analysis (§4.3): ETB = ExecTime_isolation + nr * ubdm, where nr is the
+// task's bus-request count read from a PMC. The etb generator runs that
+// check as a plan: the task alone (its isolation time and nr), then
+// against Nc−1 rsk and against count random task sets, every job on one
+// seed. Its renderer prints the bound with each contended run's verdict
+// (HOLDS or VIOLATED) and headroom. ubdm (default Eq. 1) enters no job
+// hash, so one set of stored rows checks any ubdm:
+//
+//	echo '{"generator":"etb","params":{"task":"tblook","seed":7,"ubdm":27}}' > etb.json
+//	rrbus-figures -scenario etb.json -store results/
+//
+// It enters no plan hash either, so rrbus-serve, which tracks plans by
+// that hash, keeps the ubdm first submitted for a task, seed and count.
+// examples/automotive derives ubdm and runs the etb plan on one Session.
 //
 // # Layers
 //
@@ -109,12 +121,11 @@
 //     between workers;
 //   - errors are deterministic: the lowest-indexed failing job wins.
 //
-// The batch CLIs (rrbus-figures, rrbus-derive) expose the pool as
-// -workers; -workers 1 recovers fully serial execution on the
-// calling goroutine (rrbus-sim runs a single simulation, so it has no
-// batch to fan out). Every batch draws its goroutines from one
-// process-wide budget, so concurrent sessions — the plans rrbus-serve
-// runs at once — share the pool instead of multiplying it.
+// The CLIs put their -workers flag on each Session they build
+// (Session.Workers, 0 = GOMAXPROCS); -workers 1 recovers fully serial
+// execution on the calling goroutine. Each batch bounds only its own
+// goroutines: there is no process-wide budget, and rrbus-serve sizes its
+// in-process pool as -plans × -workers.
 //
 // Inside each worker the simulator itself is allocation-free in steady
 // state (pooled bus requests and memory transactions, dense histograms)
@@ -213,10 +224,11 @@
 // slots), the per-core workloads (the rsk:load / rsknop:store:12 /
 // profile task-spec grammar of internal/workload), and the measurement
 // protocol. Jobs pair a scenario with an optional isolation run; named
-// generators (fig3, fig4, fig6a, fig6b, fig7, derive, abl-scaling,
-// abl-arb) expand parameters into the job lists behind each paper
-// figure, ablation and derivation sweep — so arbitrary user-defined
-// experiments run from a file, with no code edits.
+// generators (abl-arb, abl-dnop, abl-scaling, derive, etb, fig2, fig3,
+// fig4, fig5, fig6a, fig6b, fig7, fig7a, fig7b, mix) expand parameters
+// into the job lists behind each paper figure, ablation, derivation
+// sweep and the §4.3 bound check — so arbitrary user-defined experiments
+// run from a file, with no code edits.
 //
 // Execution is streaming: exp.StreamShard delivers each job's result to
 // an exp.Sink in job-index order as soon as its predecessors are

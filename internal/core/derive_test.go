@@ -8,6 +8,7 @@ import (
 	"rrbus/internal/core"
 	"rrbus/internal/report"
 	"rrbus/internal/scenario"
+	"rrbus/internal/store"
 )
 
 // obs is one isolation-paired measurement: the numbers a recorded row
@@ -286,11 +287,15 @@ func TestConfidenceScore(t *testing.T) {
 // Session would store.
 func recordDerivation(t *testing.T, platform scenario.PlatformSpec) ([]scenario.Job, []scenario.Result) {
 	t.Helper()
-	plan, err := scenario.DerivePlan(platform, "load", 1, 80)
+	spec, err := scenario.DerivePlan(platform, "load", 1, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := scenario.RunAll(plan.Jobs)
+	plan, err := scenario.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := (&store.Session{}).RunAll(plan)
 	if err != nil {
 		t.Fatal(err)
 	}

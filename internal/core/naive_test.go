@@ -6,6 +6,7 @@ import (
 
 	"rrbus/internal/core"
 	"rrbus/internal/scenario"
+	"rrbus/internal/store"
 )
 
 func TestNaiveUnderestimatesOnFake(t *testing.T) {
@@ -58,11 +59,15 @@ func TestNaiveOnSimulator(t *testing.T) {
 		{"ref", 26},
 		{"var", 23},
 	} {
-		plan, err := scenario.NaivePlan(scenario.PlatformSpec{Arch: tc.arch}, "load")
+		spec, err := scenario.NaivePlan(scenario.PlatformSpec{Arch: tc.arch}, "load")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := scenario.RunAll(plan.Jobs)
+		plan, err := scenario.Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := (&store.Session{}).RunAll(plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package exp_test
 import (
 	"testing"
 
-	"rrbus/internal/exp"
 	"rrbus/internal/report"
 	"rrbus/internal/scenario"
 	"rrbus/internal/store"
@@ -19,13 +18,11 @@ import (
 
 func renderAt(t *testing.T, workers int, gen string, params scenario.Params) string {
 	t.Helper()
-	exp.SetWorkers(workers)
-	defer exp.SetWorkers(0)
 	c, err := scenario.CompileGenerator(gen, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sess store.Session
+	sess := store.Session{Workers: workers}
 	results, err := sess.RunAll(c)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)

@@ -24,35 +24,10 @@
 // one job list deterministically across machines; the merged shard
 // outputs are byte-identical to an unsharded run (MergeJSONL).
 //
-// The default worker count is GOMAXPROCS; CLIs expose it as -workers and
-// a value of 1 recovers the fully serial execution on the caller's
-// goroutine (no pool is spun up at all). Each batch bounds only its own
-// goroutines: there is no engine-wide budget, so a caller running
+// Every batch takes its worker count from the caller (the CLIs' -workers
+// flag reaches it through store.Session.Workers, where 0 means
+// GOMAXPROCS); a count of 1 recovers the fully serial execution on the
+// caller's goroutine (no pool is spun up at all). Each batch bounds only
+// its own goroutines: there is no engine-wide budget, so a caller running
 // batches concurrently sizes them itself.
 package exp
-
-import (
-	"runtime"
-	"sync/atomic"
-)
-
-var defaultWorkers atomic.Int64
-
-// Workers returns the engine's current default worker count: the last
-// value installed with SetWorkers, or GOMAXPROCS when unset.
-func Workers() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetWorkers installs the default worker count (Workers). Values < 1
-// reset to the GOMAXPROCS default. It is safe for concurrent use, but is
-// intended to be called once at startup (CLI -workers flag).
-func SetWorkers(n int) {
-	if n < 1 {
-		n = 0
-	}
-	defaultWorkers.Store(int64(n))
-}

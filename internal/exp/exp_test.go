@@ -26,8 +26,6 @@ func mapN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 }
 
 func TestMapNOrdering(t *testing.T) {
-	SetWorkers(16)
-	defer SetWorkers(0)
 	for _, workers := range []int{1, 2, 4, 16} {
 		out, err := mapN(workers, 100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
@@ -62,8 +60,6 @@ func TestMapNDeterministicError(t *testing.T) {
 		return i, nil
 	}
 	want := "job 3 failed"
-	SetWorkers(8)
-	defer SetWorkers(0)
 	for _, workers := range []int{1, 2, 8} {
 		for trial := 0; trial < 10; trial++ {
 			_, err := mapN(workers, 50, fail)
@@ -75,10 +71,6 @@ func TestMapNDeterministicError(t *testing.T) {
 }
 
 func TestMapNBoundedWorkers(t *testing.T) {
-	// Budget (8) above the requested width (3): the explicit bound must
-	// still hold.
-	SetWorkers(8)
-	defer SetWorkers(0)
 	var cur, peak atomic.Int64
 	_, err := mapN(3, 64, func(i int) (int, error) {
 		n := cur.Add(1)
@@ -96,17 +88,5 @@ func TestMapNBoundedWorkers(t *testing.T) {
 	}
 	if p := peak.Load(); p > 3 {
 		t.Fatalf("observed %d concurrent jobs, want <= 3", p)
-	}
-}
-
-func TestSetWorkers(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(5)
-	if w := Workers(); w != 5 {
-		t.Fatalf("Workers() = %d after SetWorkers(5)", w)
-	}
-	SetWorkers(0)
-	if w := Workers(); w < 1 {
-		t.Fatalf("Workers() = %d after reset, want >= 1", w)
 	}
 }

@@ -12,11 +12,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files from the current output")
 
-// goldenCases is one cheap parameterization per generator (all 13) plus
-// the generic results-table fallback ("mix" has no figure renderer).
-// The golden bytes were recorded from the pre-Document renderers, so
-// these cases pin the redesign's core invariant: Document + TextBackend
-// reproduces the legacy text byte for byte.
+// goldenCases is one cheap parameterization per generator with a figure
+// renderer plus the generic results-table fallback ("mix" has no figure
+// renderer). The golden bytes of all but etb were recorded from the
+// pre-Document renderers, so these cases pin the redesign's core
+// invariant: Document + TextBackend reproduces the legacy text byte for
+// byte.
 var goldenCases = []struct {
 	name   string
 	gen    string
@@ -35,6 +36,8 @@ var goldenCases = []struct {
 	{"abl-arb", "abl-arb", scenario.Params{"arch": "toy", "kmax": 20}},
 	{"abl-dnop", "abl-dnop", scenario.Params{"arch": "toy", "max_nop": 2, "kmax": 30}},
 	{"abl-scaling", "abl-scaling", scenario.Params{"cores": []int{2}, "l2hits": []int{1}}},
+	// Padding with a ubdm below Eq. 1's 27 pins both verdicts.
+	{"etb", "etb", scenario.Params{"task": "tblook", "seed": 7, "count": 2, "ubdm": 10}},
 	{"results-table", "mix", scenario.Params{"arch": "toy", "count": 2, "kmax": 4}},
 }
 
@@ -51,11 +54,7 @@ func goldenInputs(t *testing.T, gen string, params scenario.Params) ([]scenario.
 	if got, ok := goldenResults[gen]; ok {
 		return got.jobs, got.results
 	}
-	jobs := expand(t, gen, params)
-	results, err := scenario.RunAll(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs, results := runGenerator(t, gen, params)
 	goldenResults[gen] = struct {
 		jobs    []scenario.Job
 		results []scenario.Result

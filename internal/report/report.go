@@ -5,9 +5,9 @@
 //
 // Each renderer is a pure function over (jobs, results): the declarative
 // job list a scenario plan expands to, and one scenario.Result per job.
-// Where the results came from is irrelevant — streamed live from
-// exp.Stream moments ago, or decoded from a merged JSONL file written on
-// another machine last month (scenario.ReadResults). Because the job
+// Where the results came from is irrelevant — streamed live from a
+// store.Session moments ago, or decoded from a merged JSONL file written
+// on another machine last month (scenario.ReadResults). Because the job
 // list is itself a pure function of the plan, a replayed rendering is
 // byte-identical to the live run's: simulate once, analyze forever.
 //
@@ -68,6 +68,8 @@ func For(generator string) (Renderer, bool) {
 		return AblDeltaNop, true
 	case "abl-scaling":
 		return AblScaling, true
+	case "etb":
+		return ETB, true
 	}
 	return nil, false
 }

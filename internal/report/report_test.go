@@ -25,8 +25,9 @@ func expand(t *testing.T, gen string, p scenario.Params) []scenario.Job {
 	return jobs
 }
 
-// roundTrip serializes results exactly as StreamToFile would (JSONL rows
-// with job indices) and decodes them back through the replay reader.
+// roundTrip serializes results exactly as Session.RunToFile would
+// (JSONL rows with job indices) and decodes them back through the replay
+// reader.
 func roundTrip(t *testing.T, results []scenario.Result) []scenario.Result {
 	t.Helper()
 	var buf bytes.Buffer
@@ -71,11 +72,7 @@ func TestReplayByteIdentical(t *testing.T) {
 		tc := tc
 		t.Run(tc.gen, func(t *testing.T) {
 			t.Parallel()
-			jobs := expand(t, tc.gen, tc.params)
-			results, err := scenario.RunAll(jobs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			jobs, results := runGenerator(t, tc.gen, tc.params)
 			live, err := report.Render(tc.gen, jobs, results)
 			if err != nil {
 				t.Fatal(err)
@@ -98,11 +95,7 @@ func TestReplayByteIdentical(t *testing.T) {
 // results: the captured bus-event window survives JSONL serialization
 // exactly, so replayed timelines are the recorded timelines.
 func TestTraceResultRoundTrip(t *testing.T) {
-	jobs := expand(t, "fig5", scenario.Params{"ks": []int{2}})
-	results, err := scenario.RunAll(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs, results := runGenerator(t, "fig5", scenario.Params{"ks": []int{2}})
 	if len(results) != 1 || len(results[0].Trace) == 0 {
 		t.Fatalf("fig5 job recorded no trace: %+v", results)
 	}
@@ -137,11 +130,7 @@ func TestTraceResultRoundTrip(t *testing.T) {
 // recorded results: the toy platform's ubd = 6 must be re-derived from a
 // serialized derive sweep.
 func TestDerivationFromRecoversUBD(t *testing.T) {
-	jobs := expand(t, "derive", scenario.Params{"arch": "toy", "kmax": 20})
-	results, err := scenario.RunAll(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs, results := runGenerator(t, "derive", scenario.Params{"arch": "toy", "kmax": 20})
 	d, err := report.DerivationFrom(jobs, roundTrip(t, results))
 	if err != nil {
 		t.Fatal(err)
@@ -160,11 +149,7 @@ func TestDerivationFromRecoversUBD(t *testing.T) {
 // TestCheckCatchesWrongPlan ensures replaying a recording against a
 // different plan is rejected instead of silently mislabeling rows.
 func TestCheckCatchesWrongPlan(t *testing.T) {
-	jobs := expand(t, "fig7", scenario.Params{"arch": "toy", "kmax": 3, "iters": 2})
-	results, err := scenario.RunAll(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs, results := runGenerator(t, "fig7", scenario.Params{"arch": "toy", "kmax": 3, "iters": 2})
 	other := expand(t, "fig7", scenario.Params{"arch": "toy", "kmax": 3, "iters": 2, "type": "store"})
 	if err := report.Check(other, results); err == nil {
 		t.Error("results accepted against a plan with different job IDs")

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"rrbus/internal/sim"
@@ -732,4 +734,65 @@ func init() {
 			return jobs, nil
 		},
 	})
+
+	// etb: §4.3 "Using ubdm" — the task's execution-time bound
+	// ETB = isolation + nr·ubdm, checked against observed contention.
+	// Job 0 runs the task alone: its row's Cycles and Requests are the
+	// isolation time and nr. Job 1 runs it against Nc−1 rsk(load), jobs
+	// 2.. against the last Nc−1 tasks of each random task set. Every job
+	// builds its programs from one seed at the default protocol, so the
+	// task is the same program in every row. ubdm (default Eq. 1) rides
+	// in the scenario name, which no job hash covers: one row serves
+	// every ubdm.
+	Register(Generator{
+		Name: "etb",
+		Desc: "§4.3 execution-time bound of a task alone, checked vs Nc-1 rsk and random task sets",
+		Expand: func(p Params) ([]Job, error) {
+			arch := p.String("arch", "ref")
+			task := p.String("task", "tblook")
+			seed := p.Uint64("seed", 1)
+			count := p.Int("count", 8)
+			cfg, err := sim.ByName(arch)
+			if err != nil {
+				return nil, err
+			}
+			ubdm := p.Int("ubdm", cfg.UBD())
+			if ubdm < 1 {
+				return nil, fmt.Errorf("ubdm %d (want >= 1)", ubdm)
+			}
+			if count < 0 {
+				return nil, fmt.Errorf("count %d (want >= 0)", count)
+			}
+			job := func(name string, contenders []string) Job {
+				return Job{
+					ID: fmt.Sprintf("etb/%s/%s/%s", arch, task, name),
+					Scenario: Scenario{
+						Name:     etbPrefix + strconv.Itoa(ubdm),
+						Platform: PlatformSpec{Arch: arch},
+						Workload: WorkloadSpec{Scua: task, Contenders: contenders, Seed: seed},
+					},
+				}
+			}
+			jobs := make([]Job, 0, count+2)
+			jobs = append(jobs, job("alone", nil), job("rsk", rskContenders(cfg.Cores, "load")))
+			for i, ts := range workload.RandomTaskSets(count, cfg.Cores, seed) {
+				jobs = append(jobs, job(fmt.Sprintf("set%d", i), ts.Names[1:]))
+			}
+			return jobs, nil
+		},
+	})
+}
+
+// etbPrefix starts the scenario name of every etb job; the ubdm follows.
+const etbPrefix = "etb ubdm="
+
+// ETBUBDm returns the ubdm an etb job pads with, read off its scenario
+// name.
+func ETBUBDm(j Job) (int, error) {
+	s, ok := strings.CutPrefix(j.Scenario.Name, etbPrefix)
+	n, err := strconv.Atoi(s)
+	if !ok || err != nil || n < 1 {
+		return 0, fmt.Errorf("job %q is not an etb job (scenario name %q)", j.ID, j.Scenario.Name)
+	}
+	return n, nil
 }

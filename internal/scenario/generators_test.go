@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rrbus/internal/analytic"
@@ -10,6 +11,8 @@ import (
 	"rrbus/internal/kernel"
 	"rrbus/internal/scenario"
 	"rrbus/internal/sim"
+	"rrbus/internal/store"
+	"rrbus/internal/workload"
 )
 
 func expand(t *testing.T, gen string, p scenario.Params) []scenario.Job {
@@ -25,9 +28,20 @@ func expand(t *testing.T, gen string, p scenario.Params) []scenario.Job {
 	return jobs
 }
 
+// run compiles a registered generator with params and runs the plan
+// through a storeless store.Session.
+func run(gen string, p scenario.Params) ([]scenario.Job, []scenario.Result, error) {
+	c, err := scenario.CompileGenerator(gen, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, err := (&store.Session{}).RunAll(c)
+	return c.Jobs, results, err
+}
+
 func TestGeneratorRegistry(t *testing.T) {
 	for _, name := range []string{"fig2", "fig3", "fig4", "fig5", "fig6a", "fig6b", "fig7", "fig7a", "fig7b",
-		"derive", "abl-scaling", "abl-arb", "abl-dnop", "mix"} {
+		"derive", "abl-scaling", "abl-arb", "abl-dnop", "mix", "etb"} {
 		if _, ok := scenario.Lookup(name); !ok {
 			t.Errorf("generator %q missing (have %v)", name, scenario.Names())
 		}
@@ -108,13 +122,12 @@ func TestFig7GeneratorMatchesSweep(t *testing.T) {
 	cfg := sim.Toy()
 	const kmax, iters = 6, 20
 	pts := sweep(t, cfg, isa.OpLoad, kmax, iters)
-	jobs := expand(t, "fig7", scenario.Params{"arch": "toy", "kmax": float64(kmax), "iters": float64(iters)})
-	if len(jobs) != kmax {
-		t.Fatalf("%d jobs for kmax=%d", len(jobs), kmax)
-	}
-	results, err := scenario.RunAll(jobs)
+	jobs, results, err := run("fig7", scenario.Params{"arch": "toy", "kmax": float64(kmax), "iters": float64(iters)})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(jobs) != kmax {
+		t.Fatalf("%d jobs for kmax=%d", len(jobs), kmax)
 	}
 	for i, r := range results {
 		if r.Slowdown != pts[i].slowdown {
@@ -298,5 +311,93 @@ func TestMixTDMASlotsCoverLbus(t *testing.T) {
 	}
 	if tdma == 0 {
 		t.Fatal("no TDMA job drawn")
+	}
+}
+
+// TestETBGeneratorShape: the task alone, then against Nc−1 rsk(load),
+// then against the last Nc−1 tasks of each random set, every job on one
+// seed at the default protocol with no isolation pairing. Job 0's row is
+// exactly what sim.RunIsolation measures for the task, and the ubdm
+// enters no job hash.
+func TestETBGeneratorShape(t *testing.T) {
+	params := scenario.Params{"task": "canrdr", "seed": 7, "count": 2}
+	jobs, results, err := run("etb", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := workload.RandomTaskSets(2, 4, 7)
+	wantIDs := []string{"etb/ref/canrdr/alone", "etb/ref/canrdr/rsk", "etb/ref/canrdr/set0", "etb/ref/canrdr/set1"}
+	wantCont := [][]string{nil, {"rsk:load", "rsk:load", "rsk:load"}, sets[0].Names[1:], sets[1].Names[1:]}
+	if len(jobs) != len(wantIDs) {
+		t.Fatalf("%d jobs, want %d", len(jobs), len(wantIDs))
+	}
+	for i, j := range jobs {
+		w := j.Scenario.Workload
+		if j.ID != wantIDs[i] || w.Scua != "canrdr" || w.Seed != 7 || j.Isolation ||
+			j.Scenario.Protocol != (scenario.Protocol{}) || !reflect.DeepEqual(w.Contenders, wantCont[i]) {
+			t.Errorf("job %d = %+v", i, j)
+		}
+		if u, err := scenario.ETBUBDm(j); err != nil || u != 27 {
+			t.Errorf("job %d: ubdm %d (%v), want Eq. 1's 27", i, u, err)
+		}
+	}
+
+	cfg := sim.NGMPRef()
+	prog, err := workload.BuildSpec(kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2), "canrdr", 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isol, err := sim.RunIsolation(cfg, prog, sim.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Cycles != isol.Cycles || results[0].Requests != isol.Requests {
+		t.Errorf("job 0 row: %d cycles, %d requests; RunIsolation: %d, %d",
+			results[0].Cycles, results[0].Requests, isol.Cycles, isol.Requests)
+	}
+
+	params["ubdm"] = 1
+	one, err := scenario.CompileGenerator("etb", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq1, err := scenario.CompileGenerator("etb", scenario.Params{"task": "canrdr", "seed": 7, "count": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(one.JobHashes(), eq1.JobHashes()) {
+		t.Error("ubdm entered a job hash")
+	}
+	if u, _ := scenario.ETBUBDm(one.Jobs[0]); u != 1 {
+		t.Errorf("ubdm %d, want 1", u)
+	}
+}
+
+// TestETBGeneratorRefusesBadParams: a ubdm below 1, an unknown platform
+// and a negative count fail at expansion, each error naming the value.
+func TestETBGeneratorRefusesBadParams(t *testing.T) {
+	for _, tc := range []struct {
+		params scenario.Params
+		want   string
+	}{
+		{scenario.Params{"ubdm": 0}, "ubdm 0"},
+		{scenario.Params{"ubdm": -27}, "ubdm -27"},
+		{scenario.Params{"arch": "ngmp-xl"}, `"ngmp-xl"`},
+		{scenario.Params{"count": -1}, "count -1"},
+	} {
+		_, err := scenario.CompileGenerator("etb", tc.params)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want it to name %s", tc.params, err, tc.want)
+		}
+	}
+}
+
+// TestETBUnknownTaskRefusedAtRun: the task is not checked at expansion
+// (any task spec a job can name is allowed); running the plan fails and
+// names it.
+func TestETBUnknownTaskRefusedAtRun(t *testing.T) {
+	_, _, err := run("etb", scenario.Params{"task": "nosuchtask", "count": 0})
+	if err == nil || !strings.Contains(err.Error(), `unknown task "nosuchtask"`) {
+		t.Errorf("err = %v, want it to name the unknown task", err)
 	}
 }

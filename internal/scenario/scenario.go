@@ -20,8 +20,8 @@
 //     paper's figures, ablations and derivation sweeps into job lists,
 //     so any of them can be sharded across machines with no code edits.
 //
-// Running a plan streams one Result per job, in job order, to an
-// exp.Sink — typically a JSONL file. Because every row is
+// Running a plan (store.Session) streams one Result per job, in job
+// order, to an exp.Sink — typically a JSONL file. Because every row is
 // self-describing (it carries its job index) and results are delivered
 // in index order, the concatenation produced by merging per-shard files
 // is byte-identical to an unsharded run's file.
@@ -29,7 +29,6 @@ package scenario
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -393,16 +392,6 @@ func (p *Plan) Expand() ([]Job, error) {
 	}
 }
 
-// Stream runs this shard's share of the jobs on the experiment engine's
-// worker pool, delivering one Result per job to sink in job order as
-// results complete. Cancelling ctx drains in-flight jobs and emits the
-// completed prefix before returning ctx.Err() (see exp.StreamShard).
-func Stream(ctx context.Context, jobs []Job, shard exp.Shard, sink exp.Sink[Result]) error {
-	return exp.StreamShard(ctx, shard, exp.Workers(), len(jobs), func(i int) (Result, error) {
-		return jobs[i].Run(sim.Steady)
-	}, sink)
-}
-
 // SamePath reports whether two paths refer to the same file: same
 // cleaned absolute path, or same inode when both exist (symlinks, hard
 // links). The CLIs use it to refuse a merge -out that aliases one of the
@@ -513,18 +502,4 @@ func ReadResultsFile(path string) ([]Result, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return results, nil
-}
-
-// RunAll executes every job and collects the results (an unsharded,
-// batch-collecting convenience over Stream).
-func RunAll(jobs []Job) ([]Result, error) {
-	out := make([]Result, 0, len(jobs))
-	err := Stream(context.Background(), jobs, exp.Shard{}, exp.SinkFunc[Result](func(_ int, r Result) error {
-		out = append(out, r)
-		return nil
-	}))
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

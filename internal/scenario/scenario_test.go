@@ -2,7 +2,6 @@ package scenario_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 	"rrbus/internal/exp"
 	"rrbus/internal/scenario"
 	"rrbus/internal/sim"
+	"rrbus/internal/store"
 )
 
 // goldenScenario is the canonical serialized form of a WRR scenario; the
@@ -202,18 +202,18 @@ func TestJobRunMatchesDirectSimulation(t *testing.T) {
 // scenario layer: a Fig. 7 k-sweep streamed as two shards and merged is
 // byte-identical to the unsharded run.
 func TestShardedPlanByteIdentical(t *testing.T) {
-	plan := &scenario.Plan{Generator: "fig7", Params: scenario.Params{
+	plan, err := scenario.Compile(&scenario.Plan{Generator: "fig7", Params: scenario.Params{
 		"arch": "toy", "kmax": float64(8), "iters": float64(5),
-	}}
-	jobs, err := plan.Expand()
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs := plan.Jobs
 
 	stream := func(shard exp.Shard) string {
 		var buf bytes.Buffer
 		sink := exp.NewJSONLSink[scenario.Result](&buf)
-		if err := scenario.Stream(context.Background(), jobs, shard, sink); err != nil {
+		if err := (&store.Session{Shard: shard}).Run(plan, sink); err != nil {
 			t.Fatal(err)
 		}
 		if err := sink.Flush(); err != nil {

@@ -49,11 +49,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
 	"rrbus/internal/dist"
-	"rrbus/internal/exp"
 	"rrbus/internal/report"
 	"rrbus/internal/scenario"
 	"rrbus/internal/store"
@@ -64,7 +64,7 @@ import (
 type Options struct {
 	// Workers sizes the in-process worker pool: MaxActivePlans × Workers
 	// simulations at once, what that many plans of this width run at
-	// most (0 = the engine default, exp.Workers(), for the whole pool).
+	// most (0 = a pool of GOMAXPROCS).
 	Workers int
 	// MaxActivePlans bounds how many submitted plans run concurrently;
 	// further plans wait queued (0 = 2).
@@ -209,7 +209,7 @@ func New(st store.Store, opts Options) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	pool := opts.MaxActivePlans * opts.Workers
 	if opts.Workers <= 0 {
-		pool = exp.Workers()
+		pool = runtime.GOMAXPROCS(0)
 	}
 	if opts.Distribute {
 		mux.HandleFunc("POST /v1/work/register", s.handleWorkRegister)

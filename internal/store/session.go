@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -35,7 +36,7 @@ import (
 //     per Retry; a zero policy disables retries.
 //
 // The zero value is a valid session: no store (every job simulates),
-// default worker count, unsharded, no retries, the default engine.
+// GOMAXPROCS workers, unsharded, no retries, the default engine.
 type Session struct {
 	// Store serves recorded rows and receives fresh ones; nil disables
 	// reuse. If the store also implements PlanRecorder, every plan the
@@ -43,8 +44,8 @@ type Session struct {
 	// corrupt entries are quarantined and re-simulated instead of
 	// failing the run.
 	Store Store
-	// Workers bounds the simulation goroutines (0 = the engine default,
-	// exp.Workers()). Output is identical for any value.
+	// Workers bounds the simulation goroutines (0 = GOMAXPROCS). Output
+	// is identical for any value.
 	Workers int
 	// Shard selects this machine's share of the jobs (the zero Shard
 	// runs them all).
@@ -148,7 +149,7 @@ func (s *Session) Run(c *scenario.Compiled, sink exp.Sink[scenario.Result]) erro
 func (s *Session) RunContext(ctx context.Context, c *scenario.Compiled, sink exp.Sink[scenario.Result]) error {
 	workers := s.Workers
 	if workers <= 0 {
-		workers = exp.Workers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if ctx == nil {
 		ctx = context.Background()

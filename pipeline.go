@@ -151,11 +151,6 @@ func OpenDirStore(dir string) (*DirStore, error) { return store.OpenDir(dir) }
 // ParseShard parses the CLIs' "i/N" shard syntax ("" = all jobs).
 func ParseShard(spec string) (Shard, error) { return exp.ParseShard(spec) }
 
-// SetWorkers bounds the experiment engine's simulation goroutines
-// (0 restores the default, GOMAXPROCS). Output is identical for any
-// value.
-func SetWorkers(n int) { exp.SetWorkers(n) }
-
 // DocumentFor rebuilds the plan's figure/table/bound Document from
 // recorded results: the plan generator's renderer when one exists, the
 // generic results table otherwise. Results are validated against the

@@ -3,7 +3,6 @@ package rrbus
 import (
 	"rrbus/internal/analytic"
 	"rrbus/internal/core"
-	"rrbus/internal/etb"
 	"rrbus/internal/isa"
 	"rrbus/internal/kernel"
 	"rrbus/internal/sim"
@@ -49,24 +48,11 @@ type (
 
 	// Profile is one EEMBC-Autobench-like synthetic benchmark.
 	Profile = workload.Profile
-	// TaskSet is one multi-task workload of profiles.
-	TaskSet = workload.TaskSet
 
 	// TraceRecorder captures bus grant events for timeline rendering.
 	TraceRecorder = trace.Recorder
 	// TraceEvent is one granted bus transaction.
 	TraceEvent = trace.Event
-
-	// Task is a software component analyzed by the ETB layer.
-	Task = etb.Task
-	// Bound is a task's padded execution-time bound.
-	Bound = etb.Bound
-	// Validation records a bound checked against one contention scenario.
-	Validation = etb.Validation
-	// Analyzer derives and validates execution-time bounds (§4.3 MBTA).
-	Analyzer = etb.Analyzer
-	// ETBReport collects bounds and validations for rendering.
-	ETBReport = etb.Report
 )
 
 // Instruction classes.
@@ -151,23 +137,8 @@ func EEMBCProfiles() []Profile { return workload.Profiles() }
 // EEMBCProfile returns the named profile.
 func EEMBCProfile(name string) (Profile, bool) { return workload.ByName(name) }
 
-// RandomTaskSets draws reproducible multi-task workloads (the paper's "8
-// randomly generated 4-task workloads").
-func RandomTaskSets(count, nTasks int, seed uint64) []TaskSet {
-	return workload.RandomTaskSets(count, nTasks, seed)
-}
-
 // RenderTimeline renders recorded bus events as an ASCII Gantt chart
 // (Figs. 2/3/5 style).
 func RenderTimeline(events []TraceEvent, nports int, from, to uint64) string {
 	return trace.Timeline(events, nports, from, to)
 }
-
-// NewAnalyzer builds an ETB analyzer for cfg using the derived per-request
-// bound ubdm.
-func NewAnalyzer(cfg Config, ubdm int, opts RunOpts) (*Analyzer, error) {
-	return etb.NewAnalyzer(cfg, ubdm, opts)
-}
-
-// NewETBReport creates an empty bound/validation report for cfg.
-func NewETBReport(cfg Config, ubdm int) *ETBReport { return etb.NewReport(cfg, ubdm) }

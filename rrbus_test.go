@@ -2,6 +2,7 @@ package rrbus_test
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -52,10 +53,6 @@ func TestFacadeProfiles(t *testing.T) {
 	}
 	if prog.Validate() != nil {
 		t.Fatal("built program invalid")
-	}
-	sets := rrbus.RandomTaskSets(3, 4, 9)
-	if len(sets) != 3 || len(sets[0].Names) != 4 {
-		t.Fatal("task sets wrong")
 	}
 }
 
@@ -225,34 +222,30 @@ func TestFacadeArbiterKinds(t *testing.T) {
 	}
 }
 
+// TestFacadeETBWorkflow runs §4.3 through the facade: the etb plan pads
+// tblook's isolation time with nr × Eq. 1's 27, and the bound holds
+// against Nc−1 rsk.
 func TestFacadeETBWorkflow(t *testing.T) {
-	cfg := rrbus.ReferenceNGMP()
-	a, err := rrbus.NewAnalyzer(cfg, cfg.UBD(), rrbus.RunOpts{WarmupIters: 2, MeasureIters: 5})
+	plan, err := rrbus.GeneratorPlan("etb", rrbus.Params{"task": "tblook", "seed": 3, "count": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, _ := rrbus.EEMBCProfile("tblook")
-	prog, err := prof.Build(0, 3)
+	results, err := (&rrbus.Session{}).RunAll(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	task := rrbus.Task{Name: "tblook", Prog: prog}
-	b, err := a.Bound(task)
+	text, err := rrbus.Render(plan, results)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := a.ValidateAgainstRSK(task, b)
-	if err != nil {
-		t.Fatal(err)
+	iso := results[0]
+	bound := fmt.Sprintf("tblook %d %d 27 %d", iso.Cycles, iso.Requests, iso.Cycles+27*iso.Requests)
+	lines := strings.Split(text, "\n")
+	if len(lines) < 3 || !strings.HasPrefix(strings.Join(strings.Fields(lines[2]), " "), bound) {
+		t.Errorf("bound row is not %q:\n%s", bound, text)
 	}
-	if !v.Holds {
-		t.Errorf("bound violated: %+v", v)
-	}
-	rep := rrbus.NewETBReport(cfg, cfg.UBD())
-	rep.Bounds = append(rep.Bounds, b)
-	rep.Validations[task.Name] = []rrbus.Validation{v}
-	if !rep.AllHold() || !strings.Contains(rep.String(), "tblook") {
-		t.Error("report assembly failed")
+	if !strings.Contains(text, "HOLDS") || !strings.Contains(text, "the bound holds in all 1 contended runs") {
+		t.Errorf("bound does not hold:\n%s", text)
 	}
 }
 
