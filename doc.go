@@ -177,36 +177,44 @@
 //     -no-steady-state selects it alone);
 //   - steady-state memoization: on top of event-driven execution, the
 //     engine fingerprints the complete architectural state at the
-//     measured core's iteration boundaries; when a fingerprint recurs
-//     and repeats once more at the same distance with identical
-//     observable deltas, the system is in a periodic fixed point and
-//     whole periods are extrapolated in closed form — counters advance
-//     by multiples of the verified per-period delta, every absolute
-//     cycle shifts by the leap — instead of being simulated
+//     measured core's iteration boundaries; a recurring fingerprint
+//     proposes a period, and when the exact state one period later
+//     equals the state where it recurred, with identical observable
+//     deltas over both periods, the system is in a periodic fixed point
+//     and whole periods are extrapolated in closed form — counters
+//     advance by multiples of the verified per-period delta, every
+//     absolute cycle shifts by the leap — instead of being simulated
 //     (EngineSteady, the zero value and the default).
 //
-// The determinism guarantee is unconditional: a leap happens only after
-// a full-state recurrence (cores, store buffers, cache sets and
-// replacement order, bus arbiter and queues, memory-controller edges,
-// scheduler wakes) is verified over two consecutive periods, and a
-// deterministic simulator that revisits a state must replay it, so the
-// extrapolated span is exactly what execution would have produced. The
+// The determinism guarantee is unconditional: the fingerprint only
+// proposes a period, and a leap happens only after the full canonical
+// state stream (cores, store buffers, cache sets and replacement order,
+// bus arbiter and queues, memory-controller edges, scheduler wakes)
+// recorded where the fingerprint recurred (T1) equals, word for word,
+// the stream one period later (T1 + P), and the observable deltas of the
+// two periods are equal. A deterministic simulator that revisits a state
+// exactly must replay it, so the extrapolated span is exactly what
+// execution would have produced, whatever fingerprint proposed the
+// period: a fingerprint collision costs one failed confirmation, never a
+// wrong leap. That lets the fingerprint be cheap — each cache re-hashes
+// only the sets whose state changed since the last observation, so a
+// cache digest costs in proportion to the sets that changed. The
 // three-way equivalence suite diffs full Measurements (γ and contender
 // histograms and PMCs included) across all modes, and CI records three
 // scenarios in all three — one of them an isolation-paired job with an
 // idle core, one with EEMBC-like contenders whose cores issue
 // mixed-latency instruction batches — and compares the JSONL bytes.
 //
-// The fingerprint deliberately leaves out what no future step reads: a
-// finished core's next-free cycle, the markers of an instruction batch
-// that has fully issued, and a core's read point (the cycle of its latest
-// tick) outside such a batch. Hashed as distances to the clock, these
+// The fingerprint and the state stream deliberately leave out what no
+// future step reads: a finished core's next-free cycle, the markers of an
+// instruction batch that has fully issued, and a core's read point (the
+// cycle of its latest tick) outside such a batch. Hashed as distances to the clock, these
 // drift on every core that is not being ticked — forever on a halted
 // one — and such a run's state would never recur. For the same reason
 // the idle filler cores sim.Run
 // places on empty core slots run one iteration and halt: their single
 // instruction fetch is all the bus traffic an idle core makes, and once
-// halted they add a constant to the fingerprint, so isolation runs and
+// halted they add a constant to the state, so isolation runs and
 // runs with idle slots settle and leap like contended ones. Workloads that
 // never settle into a period (aperiodic mixes) simply never leap — a
 // bounded observation budget then switches the detector off. Runs that

@@ -11,36 +11,37 @@ import "rrbus/internal/statehash"
 // StateDigester is an optional Arbiter refinement for policies whose grant
 // decisions depend on internal state (a round-robin rotor, a weighted-round-
 // robin slot position, a lottery RNG) or on the absolute cycle (TDMA's slot
-// phase). DigestState must mix every such quantity into h, expressing
-// absolute cycles relative to now (for TDMA: the phase within the frame), so
-// that equal digests at two cycles imply the arbiter behaves identically
-// from those cycles on, modulo a uniform time shift. The steady-state
-// detector refuses to engage on arbiters that do not implement it.
+// phase). StateWord must return every such quantity as one word,
+// expressing absolute cycles relative to now (for TDMA: the phase within
+// the frame), so that equal words at two cycles imply the arbiter behaves
+// identically from those cycles on, modulo a uniform time shift; ok is
+// false for a stateless policy. The steady-state detector refuses to engage
+// on arbiters that do not implement it.
 type StateDigester interface {
-	DigestState(h *statehash.Hash, now uint64)
+	StateWord(now uint64) (w uint64, ok bool)
 }
 
-// DigestState implements StateDigester: the rotor is the whole state.
-func (r *RoundRobin) DigestState(h *statehash.Hash, _ uint64) { h.Add(uint64(r.head)) }
+// StateWord implements StateDigester: the rotor is the whole state.
+func (r *RoundRobin) StateWord(uint64) (uint64, bool) { return uint64(r.head), true }
 
-// DigestState implements StateDigester: fixed priority is stateless and
-// cycle-independent, so there is nothing to mix.
-func (f *FixedPriority) DigestState(*statehash.Hash, uint64) {}
+// StateWord implements StateDigester: fixed priority is stateless and
+// cycle-independent, so there is no word.
+func (f *FixedPriority) StateWord(uint64) (uint64, bool) { return 0, false }
 
-// DigestState implements StateDigester. TDMA's Pick depends on the absolute
-// cycle only through cycle mod frame, so digesting the frame phase makes
-// two matching digests imply the candidate period is a whole number of
-// frames — exactly the condition under which a time shift preserves every
-// future grant decision.
-func (t *TDMA) DigestState(h *statehash.Hash, now uint64) { h.Add(now % t.Frame()) }
+// StateWord implements StateDigester. TDMA's Pick depends on the absolute
+// cycle only through cycle mod frame, so the frame phase as state makes two
+// matching streams imply the candidate period is a whole number of frames —
+// exactly the condition under which a time shift preserves every future
+// grant decision.
+func (t *TDMA) StateWord(now uint64) (uint64, bool) { return now % t.Frame(), true }
 
-// DigestState implements StateDigester: the xorshift state advances only on
+// StateWord implements StateDigester: the xorshift state advances only on
 // granting Picks, so it is plain (cycle-independent) arbiter state.
-func (l *Lottery) DigestState(h *statehash.Hash, _ uint64) { h.Add(l.state) }
+func (l *Lottery) StateWord(uint64) (uint64, bool) { return l.state, true }
 
-// DigestState implements StateDigester: the virtual-slot cursor is the
-// whole state.
-func (w *WeightedRoundRobin) DigestState(h *statehash.Hash, _ uint64) { h.Add(uint64(w.pos)) }
+// StateWord implements StateDigester: the virtual-slot cursor is the whole
+// state.
+func (w *WeightedRoundRobin) StateWord(uint64) (uint64, bool) { return uint64(w.pos), true }
 
 // CanDigest reports whether the installed arbiter supports state digesting;
 // the steady-state detector disables itself otherwise.
@@ -49,59 +50,53 @@ func (b *Bus) CanDigest() bool {
 	return ok
 }
 
-// DigestState mixes the complete behavioral bus state into h, with every
-// absolute cycle expressed relative to now (the next cycle the owning
-// system will execute). Equal digests at two cycles — together with equal
-// digests of every other component — imply the bus evolves identically from
-// both, shifted in time; that is the invariant the steady-state leap rests
-// on. Statistics and watch histograms are deliberately excluded: they are
-// observables, handled by snapshot/delta (AddStats/AddWatchHists), not
-// state.
+// DigestState mixes the complete behavioral bus state into h: the words
+// AppendState emits.
 func (b *Bus) DigestState(h *statehash.Hash, now uint64) {
-	h.Add(uint64(b.npend))
+	var buf [128]uint64
+	h.AddWords(b.AppendState(buf[:0], now))
+}
+
+// AppendState appends the complete behavioral bus state to buf as a
+// canonical word stream, with every absolute cycle expressed relative to
+// now (the next cycle the owning system will execute). Equal streams at two
+// cycles — together with equal streams of every other component — imply
+// the bus evolves identically from both, shifted in time; that is the
+// invariant the steady-state leap rests on. Statistics and watch histograms
+// are deliberately excluded: they are observables, handled by
+// snapshot/delta (AddStats/AddWatchHists), not state.
+func (b *Bus) AppendState(buf []uint64, now uint64) []uint64 {
+	buf = append(buf, uint64(b.npend))
 	for p := 0; p < b.nports; p++ {
 		if !b.pending[p] {
 			continue
 		}
 		r := b.heads[p]
-		h.Add(uint64(p))
-		h.Add(uint64(r.Kind))
-		h.Add(r.Addr)
-		h.Add(uint64(int64(r.OrigPort)))
-		h.Add(r.Tag)
-		h.Add(now - r.Ready)
+		buf = append(buf, uint64(p), uint64(r.Kind), r.Addr, uint64(int64(r.OrigPort)), r.Tag, now-r.Ready)
 	}
 	if r := b.current; r != nil {
-		h.Add(1)
-		h.Add(uint64(r.Port))
-		h.Add(uint64(r.Kind))
-		h.Add(r.Addr)
-		h.Add(uint64(int64(r.OrigPort)))
-		h.Add(r.Tag)
-		h.Add(uint64(r.Occupancy))
-		h.Add(b.freeAt - now)
-		h.Add(now - r.Ready)
-		h.Add(now - r.Grant)
+		buf = append(buf, 1, uint64(r.Port), uint64(r.Kind), r.Addr, uint64(int64(r.OrigPort)), r.Tag,
+			uint64(r.Occupancy), b.freeAt-now, now-r.Ready, now-r.Grant)
 	} else {
 		// freeAt is stale while no transaction is in service; nothing
 		// reads it until the next grant rewrites it, so it is not state.
-		h.Add(0)
+		buf = append(buf, 0)
 	}
-	h.Add(uint64(b.ndef))
+	buf = append(buf, uint64(b.ndef))
 	for p := 0; p < b.nports; p++ {
 		rdy := b.defReady[p]
 		if rdy == noDeferred {
 			continue
 		}
 		r := b.defReq[p]
-		h.Add(uint64(p))
-		h.Add(rdy - now)
-		h.Add(uint64(r.Kind))
-		h.Add(r.Addr)
+		buf = append(buf, uint64(p), rdy-now, uint64(r.Kind), r.Addr)
 	}
 	if d, ok := b.arb.(StateDigester); ok {
-		d.DigestState(h, now)
+		if w, ok := d.StateWord(now); ok {
+			buf = append(buf, w)
+		}
 	}
+	return buf
 }
 
 // ShiftTime moves every absolute-cycle quantity the bus holds forward by d,
@@ -132,9 +127,8 @@ func (b *Bus) ShiftTime(d uint64) {
 }
 
 // AddStats adds k times the per-period delta d into the accumulated
-// statistics. The steady-state detector only calls it after verifying the
-// delta recurs over two consecutive periods, which for the max-type field
-// (MaxGamma) forces the delta to zero: a state-identical period replays the
+// statistics. The steady-state detector only calls it with a delta whose
+// max-type field (MaxGamma) is zero: a state-identical period replays the
 // same γ values, so the max can only move in the first occurrence.
 func (b *Bus) AddStats(d Stats, k uint64) {
 	for p := range b.pstats {

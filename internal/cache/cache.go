@@ -86,6 +86,10 @@ type Config struct {
 	Partitioned bool
 }
 
+// maxWays bounds the associativity: a set's most recently stamped way is
+// kept as a uint16 (see Cache.mru).
+const maxWays = 1 << 16
+
 // Sets returns the number of sets implied by the geometry.
 func (c Config) Sets() int {
 	if c.Ways <= 0 || c.LineBytes <= 0 {
@@ -98,6 +102,9 @@ func (c Config) Sets() int {
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0 {
 		return fmt.Errorf("cache %s: non-positive geometry %d/%d/%d", c.Name, c.SizeBytes, c.Ways, c.LineBytes)
+	}
+	if c.Ways > maxWays {
+		return fmt.Errorf("cache %s: %d ways exceed the %d a set's replacement bookkeeping indexes", c.Name, c.Ways, maxWays)
 	}
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache %s: line size %d not a power of two", c.Name, c.LineBytes)
@@ -193,11 +200,16 @@ type Cache struct {
 	// occIn/occSets track which sets hold at least one valid line, in
 	// first-fill order. Only fill makes a line valid and only InvalidateAll
 	// empties a set, so the list is append-only between invalidations. The
-	// steady-state digest iterates it instead of the full geometry: a
-	// workload touching a few sets of the 8K-line L2 digests in
-	// proportion to its working set, not the cache size.
+	// exact state walk (AppendState, MatchState) iterates it instead of
+	// the full geometry: a workload touching a few sets of the 8K-line L2
+	// walks in proportion to its working set, not the cache size.
 	occIn   []bool
 	occSets []int32
+	// mru is each set's most recently stamped way, so an LRU hit on it,
+	// which reorders nothing, is told apart from one that changes the
+	// set's ranks; the rest of the incremental digest's state lives in
+	// arrays (see lineArrays and DigestState).
+	mru []uint16
 }
 
 // New builds a cache from cfg. It panics only via returned error; callers
@@ -227,6 +239,7 @@ func New(cfg Config) (*Cache, error) {
 		rng:         0x9E3779B97F4A7C15,
 		occIn:       arrays.occIn,
 		occSets:     arrays.occSets,
+		mru:         arrays.mru,
 	}
 	return c, nil
 }
@@ -290,18 +303,26 @@ func (c *Cache) Access(addr uint64, isWrite bool, requester int) Result {
 	set := c.lines[base : base+c.ways]
 	for i := range set {
 		if set[i].tag == want {
+			st := set[i].stamp
 			if c.lru {
-				// Refresh the stamp, preserving the dirty bit.
-				set[i].stamp = c.tick<<1 | set[i].stamp&1
+				// Refresh the stamp, preserving the dirty bit. The ranks
+				// change only when the hit way was not already the newest.
+				st = c.tick<<1 | st&1
+				if c.mru[setIdx] != uint16(i) {
+					c.mru[setIdx] = uint16(i)
+					c.markDirty(setIdx)
+				}
 			}
 			if isWrite {
 				c.stats.WriteHits++
-				if c.writeBack {
-					set[i].stamp |= 1
+				if c.writeBack && st&1 == 0 {
+					st |= 1
+					c.markDirty(setIdx)
 				}
 			} else {
 				c.stats.ReadHits++
 			}
+			set[i].stamp = st
 			return Result{Hit: true}
 		}
 	}
@@ -416,11 +437,22 @@ func (c *Cache) fill(addr, setIdx uint64, isWrite bool, requester int) Result {
 	}
 	set[w].stamp = c.tick<<1 | dirty
 	c.owners[base+w] = int32(requester)
+	c.mru[setIdx] = uint16(w)
 	if !c.occIn[setIdx] {
 		c.occIn[setIdx] = true
 		c.occSets = append(c.occSets, int32(setIdx))
 	}
+	c.markDirty(setIdx)
 	return res
+}
+
+// markDirty queues setIdx for re-hashing at the next DigestState. Only
+// occupied sets are ever marked (a fill, or a hit on a valid line).
+func (c *Cache) markDirty(setIdx uint64) {
+	if a := c.arrays; !a.dirtyIn[setIdx] {
+		a.dirtyIn[setIdx] = true
+		a.dirtySets = append(a.dirtySets, int32(setIdx))
+	}
 }
 
 func (c *Cache) reconstruct(tag, setIdx uint64) uint64 {
@@ -446,6 +478,7 @@ func (c *Cache) InvalidateAll() {
 	clear(c.owners)
 	clear(c.occIn)
 	c.occSets = c.occSets[:0]
+	c.arrays.clearDigest()
 }
 
 // ValidLines returns the number of valid lines currently cached.

@@ -38,6 +38,7 @@ func TestConfigValidate(t *testing.T) {
 		{"indivisible", func(c *Config) { c.SizeBytes = 1000 }, "not divisible"},
 		{"non-pow2 sets", func(c *Config) { c.SizeBytes = 3 << 10 }, "power of two"},
 		{"negative latency", func(c *Config) { c.Latency = -2 }, "negative latency"},
+		{"too many ways", func(c *Config) { c.Ways = maxWays + 1 }, "exceed"},
 	}
 	for _, tc := range cases {
 		c := smallCfg()

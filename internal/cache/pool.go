@@ -1,11 +1,15 @@
 package cache
 
-import "sync"
+import (
+	"sync"
+
+	"rrbus/internal/statehash"
+)
 
 // Line-array pooling.
 //
 // Every sim.System wires 2*Cores+1 caches, and each cache's dominant
-// allocation is its line state: four flat arrays of sets*ways entries
+// allocation is its line state: two flat arrays of sets*ways entries
 // (the shared L2 alone is 8K lines on the reference platform). Sweep
 // workloads build and discard thousands of Systems, so these arrays
 // dominate the allocation profile of every figure and derivation batch.
@@ -21,14 +25,31 @@ import "sync"
 // via System.Release, once its measurement is extracted).
 
 // lineArrays is one cache's worth of backing storage: the flat tag/stamp
-// pair array, the cold owners array, and the occupied-set tracking the
-// steady-state digest iterates instead of the full geometry (see Cache).
+// pair array, the cold owners array, the occupied-set tracking the exact
+// state walk iterates instead of the full geometry, and the state of the
+// incremental digest (see Cache and DigestState). dirtyIn and dirtySets
+// queue the sets whose digested state changed since the last DigestState;
+// subs holds every set's sub-digest as of that call (zero for an empty
+// set) and sumA/sumB their lane-wise sums.
 type lineArrays struct {
-	n       int
-	lines   []line
-	owners  []int32
-	occIn   []bool
-	occSets []int32
+	n          int
+	lines      []line
+	owners     []int32
+	occIn      []bool
+	occSets    []int32
+	mru        []uint16
+	dirtyIn    []bool
+	dirtySets  []int32
+	subs       []statehash.Sum
+	sumA, sumB uint64
+}
+
+// clearDigest resets the incremental digest to that of an empty cache.
+func (a *lineArrays) clearDigest() {
+	clear(a.dirtyIn)
+	a.dirtySets = a.dirtySets[:0]
+	clear(a.subs)
+	a.sumA, a.sumB = 0, 0
 }
 
 var (
@@ -54,19 +75,22 @@ func acquireLines(sets, ways int) *lineArrays {
 	pool := linePool(sets, ways)
 	if v := pool.Get(); v != nil {
 		// Nothing to zero: Release scrubbed exactly the occupied sets (the
-		// only lines, occIn flags and — transitively — owners entries a
-		// run can have written), so the arrays are already in their
-		// all-invalid initial state. A sweep's thousands of same-shaped
-		// systems thus pay for their working set, not for wiping the full
-		// 512KB L2 geometry every run.
+		// only lines, occIn/dirtyIn flags, sub-digests and — transitively
+		// — owners entries a run can have written), so the arrays are
+		// already in their all-invalid initial state. A sweep's thousands
+		// of same-shaped systems thus pay for their working set, not for
+		// wiping the full 512KB L2 geometry every run.
 		return v.(*lineArrays)
 	}
 	n := sets * ways
 	return &lineArrays{
-		n:      n,
-		lines:  make([]line, n),
-		owners: make([]int32, n),
-		occIn:  make([]bool, sets),
+		n:       n,
+		lines:   make([]line, n),
+		owners:  make([]int32, n),
+		occIn:   make([]bool, sets),
+		mru:     make([]uint16, sets),
+		dirtyIn: make([]bool, sets),
+		subs:    make([]statehash.Sum, sets),
 	}
 }
 
@@ -82,19 +106,27 @@ func (c *Cache) Release() {
 	// their all-invalid state without touching the (typically much larger)
 	// untouched remainder; acquireLines relies on this. Stamps outside
 	// occupied sets were never written (fill marks occupancy, and a hit
-	// refresh implies a valid line), so occupied sets are exhaustive.
+	// refresh implies a valid line), so occupied sets are exhaustive; the
+	// digest marks dirty only occupied sets, so they cover dirtyIn too.
+	// mru needs no scrub: fill writes it before any hit can read it.
 	for _, si := range c.occSets {
 		base := int(si) * c.ways
 		clear(c.lines[base : base+c.ways])
 	}
+	a := c.arrays
 	for _, si := range c.occSets {
 		c.occIn[si] = false
+		a.dirtyIn[si] = false
+		a.subs[si] = statehash.Sum{}
 	}
 	// occSets may have been regrown by append; hand the current backing
 	// array back so its capacity is reused too.
-	c.arrays.occSets = c.occSets[:0]
-	linePool(c.arrays.n/c.cfg.Ways, c.cfg.Ways).Put(c.arrays)
+	a.occSets = c.occSets[:0]
+	a.dirtySets = a.dirtySets[:0]
+	a.sumA, a.sumB = 0, 0
+	linePool(a.n/c.cfg.Ways, c.cfg.Ways).Put(a)
 	c.arrays = nil
 	c.lines, c.owners = nil, nil
 	c.occIn, c.occSets = nil, nil
+	c.mru = nil
 }

@@ -2,8 +2,11 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"rrbus/internal/statehash"
 )
 
 // TestPropCapacityNeverExceeded: no access sequence can make the cache hold
@@ -168,5 +171,105 @@ func TestPropTagSetRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// scratchDigest recomputes DigestState's fingerprint from nothing but the
+// line array: every occupied set's sub-digest hashed afresh and summed.
+func scratchDigest(c *Cache) statehash.Sum {
+	var sumA, sumB uint64
+	occupied := 0
+	for si := 0; si < c.cfg.Sets(); si++ {
+		set := c.lines[si*c.ways : (si+1)*c.ways]
+		valid := false
+		for _, l := range set {
+			valid = valid || l.tag != 0
+		}
+		if !valid {
+			continue
+		}
+		occupied++
+		h := statehash.New()
+		h.Add(uint64(si))
+		for _, l := range set {
+			older := uint64(0)
+			for _, o := range set {
+				if o.stamp < l.stamp {
+					older++
+				}
+			}
+			h.Add(l.tag)
+			h.Add(l.stamp & 1)
+			h.Add(older)
+		}
+		sub := h.Sum()
+		sumA += sub.A
+		sumB += sub.B
+	}
+	h := statehash.New()
+	h.Add(sumA)
+	h.Add(sumB)
+	h.Add(uint64(occupied))
+	h.Add(c.rng)
+	return h.Sum()
+}
+
+// TestPropIncrementalDigestMatchesScratch: after random access sequences
+// under every policy, write mode and partitioning — reads, writes, refills,
+// invalidations and pool round trips — the incremental digest equals a
+// from-scratch recomputation at arbitrary points, and MatchState accepts a
+// recording exactly when AppendState would reproduce it.
+func TestPropIncrementalDigestMatchesScratch(t *testing.T) {
+	for _, pol := range []Policy{LRU, FIFO, Random} {
+		for _, wp := range []WritePolicy{WriteThrough, WriteBack} {
+			for _, part := range []bool{false, true} {
+				cfg := Config{
+					Name: "digest", SizeBytes: 1 << 10, Ways: 4, LineBytes: 32,
+					Policy: pol, Write: wp, Latency: 1, Partitioned: part,
+				}
+				for seed := int64(1); seed <= 8; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					c := MustNew(cfg)
+					var rec []uint64
+					for step := 0; step < 2000; step++ {
+						// A small address space keeps sets contended, so
+						// hits on older ways and evictions both happen.
+						addr := uint64(rng.Intn(64)) * 32
+						switch r := rng.Intn(100); {
+						case r < 55:
+							c.Access(addr, false, rng.Intn(4))
+						case r < 90:
+							c.Access(addr, true, rng.Intn(4))
+						case r < 98:
+							c.Fill(addr, rng.Intn(4))
+						case r < 99:
+							c.InvalidateAll()
+						default:
+							c.Release()
+							c = MustNew(cfg)
+						}
+						if rng.Intn(7) != 0 {
+							continue
+						}
+						h := statehash.New()
+						c.DigestState(&h)
+						if got, want := h.Sum(), scratchDigest(c); got != want {
+							t.Fatalf("%v/%v/partitioned=%v seed %d step %d: incremental digest %v, from scratch %v",
+								pol, wp, part, seed, step, got, want)
+						}
+						now := c.AppendState(nil)
+						rest, ok := c.MatchState(rec)
+						if want := slices.Equal(now, rec); ok != want || (ok && len(rest) != 0) {
+							t.Fatalf("%v/%v/partitioned=%v seed %d step %d: MatchState ok=%v rest=%d, streams equal=%v",
+								pol, wp, part, seed, step, ok, len(rest), want)
+						}
+						if rng.Intn(3) == 0 {
+							rec = now
+						}
+					}
+					c.Release()
+				}
+			}
+		}
 	}
 }

@@ -11,37 +11,46 @@ import "rrbus/internal/statehash"
 // counter, and must execute live.
 func (c *Core) MaxIters() uint64 { return c.maxIters }
 
-// DigestState mixes the core's complete behavioral state into h, with
-// absolute cycles expressed relative to now (the system cycle the digest is
-// taken at), so that recurring states hash equal no matter where on the
-// time axis they occur. Observables — the activity counters and the store
-// buffer's Pushes/FullStalls/Drains — are excluded; they are handled by
-// snapshot/delta (AddCounters). Iters in particular is monotone and never
-// recurs. The caches digest themselves (Cache.DigestState), and a request
-// the core has live at the bus is digested by the bus.
+// DigestState mixes the core's complete behavioral state into h: the
+// words AppendState emits.
 func (c *Core) DigestState(h *statehash.Hash, now uint64) {
-	h.Add(uint64(c.st))
-	h.AddBool(c.inSetup)
-	h.Add(uint64(c.pc))
-	h.AddBool(c.done)
-	h.Add(c.fetchLine)
-	h.AddBool(c.haveFetch)
-	h.Add(c.commitAddr)
-	h.Add(c.pendingAddr)
+	var buf [32]uint64
+	h.AddWords(c.AppendState(buf[:0], now))
+}
+
+// AppendState appends the core's complete behavioral state to buf as a
+// canonical word stream, with absolute cycles expressed relative to now
+// (the system cycle the stream is taken at), so that recurring states
+// produce equal streams no matter where on the time axis they occur.
+// Observables — the activity counters and the store buffer's
+// Pushes/FullStalls/Drains — are excluded; they are handled by
+// snapshot/delta (AddCounters). Iters in particular is monotone and never
+// recurs. The caches have their own streams (Cache.AppendState), and a
+// request the core has live at the bus is in the bus's stream.
+func (c *Core) AppendState(buf []uint64, now uint64) []uint64 {
+	buf = append(buf,
+		uint64(c.st),
+		statehash.Bool(c.inSetup),
+		uint64(c.pc),
+		statehash.Bool(c.done),
+		c.fetchLine,
+		statehash.Bool(c.haveFetch),
+		c.commitAddr,
+		c.pendingAddr)
 	if c.st != sDone {
-		h.Add(c.nextFree - now)
+		buf = append(buf, c.nextFree-now)
 	} else {
 		// nextFree is stale once the core finished: nothing reads it, and
 		// its distance to the advancing clock would otherwise grow forever
 		// and block every future match.
-		h.Add(0)
+		buf = append(buf, 0)
 	}
 	if c.now < c.batchEnd {
 		// The read point and the batch's start pc and cycle fix the
-		// counter split (batchTail); batchEnd is nextFree, hashed above.
-		h.Add(now - c.now)
-		h.Add(now - c.batchStart)
-		h.Add(uint64(c.batchPC))
+		// counter split (batchTail); batchEnd is nextFree, emitted above.
+		// The leading 1 keeps the stream self-delimiting: a read point of
+		// 0 must not read as the stale case's single 0.
+		buf = append(buf, 1, now-c.now, now-c.batchStart, uint64(c.batchPC))
 	} else {
 		// The batch markers and the read point are stale: Counters reads
 		// them only while c.now < batchEnd, c.now only moves forward
@@ -49,23 +58,26 @@ func (c *Core) DigestState(h *statehash.Hash, now uint64) {
 		// together. Same growing-distance hazard as nextFree: a done or
 		// waiting core is not ticked, so its c.now falls ever further
 		// behind the clock.
-		h.Add(0)
+		buf = append(buf, 0)
 	}
-	h.Add(uint64(c.stallKind))
+	buf = append(buf, uint64(c.stallKind))
 	if c.stallKind != stallNone {
-		h.Add(now - c.stallFrom)
+		buf = append(buf, now-c.stallFrom)
 	}
 	sb := c.sb
-	h.Add(uint64(sb.n))
-	h.AddBool(sb.inflight)
+	buf = append(buf, uint64(sb.n), statehash.Bool(sb.inflight))
 	for i := 0; i < sb.n; i++ {
 		j := sb.head + i
 		if j >= sb.capacity {
 			j -= sb.capacity
 		}
-		h.Add(sb.buf[j])
+		buf = append(buf, sb.buf[j])
 	}
+	return buf
 }
+
+// PC returns the index of the next instruction the core issues.
+func (c *Core) PC() int { return c.pc }
 
 // ShiftTime moves every absolute-cycle quantity the core holds forward by
 // d, as part of a steady-state leap of d cycles. Stale fields (nextFree

@@ -134,6 +134,27 @@ func WireRow(jobHash string, r scenario.Result) (ResultRow, error) {
 	return ResultRow{Hash: jobHash, Sum: store.SumRow(jobHash, row), Result: row}, nil
 }
 
+// compactJSON reports whether b has no white space outside its strings:
+// for valid JSON, whether json.Compact would leave it unchanged.
+func compactJSON(b []byte) bool {
+	inString := false
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case inString:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			return false
+		}
+	}
+	return true
+}
+
 // DecodeRow verifies a wire row's integrity and decodes it: the checksum
 // must match the bytes, the bytes must parse, and the schema must be
 // readable by this build. This is the ingest-side gate — a row that
@@ -147,16 +168,23 @@ func DecodeRow(row ResultRow) (scenario.Result, error) {
 	}
 	// The checksum is defined over the canonical compact bytes, but a
 	// JSON transport is free to re-indent embedded raw messages (the
-	// coordinator's responses are pretty-printed), so compact before
-	// verifying. Compaction only strips inter-token whitespace — any
-	// in-string tampering still changes the sum.
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, row.Result); err != nil {
-		return zero, fmt.Errorf("dist: %s: row does not parse: %v", row.Hash, err)
-	}
-	raw := compact.Bytes()
-	if got := store.SumRow(row.Hash, raw); got != row.Sum {
-		return zero, fmt.Errorf("dist: %s: checksum mismatch (sent %s, computed %s) — corrupted in transit", row.Hash, row.Sum, got)
+	// coordinator's responses are pretty-printed), so bytes that are not
+	// compact are compacted before verifying. Compaction only strips
+	// inter-token whitespace — any in-string tampering still changes the
+	// sum. WireRow sends compact bytes, so an honest row skips it: a sum
+	// that matches the bytes as sent, with no whitespace between their
+	// tokens, is the sum json.Compact would have checked, and
+	// DecodeResult rejects exactly the bytes that do not parse.
+	raw := row.Result
+	if store.SumRow(row.Hash, raw) != row.Sum || !compactJSON(raw) {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, row.Result); err != nil {
+			return zero, fmt.Errorf("dist: %s: row does not parse: %v", row.Hash, err)
+		}
+		raw = compact.Bytes()
+		if got := store.SumRow(row.Hash, raw); got != row.Sum {
+			return zero, fmt.Errorf("dist: %s: checksum mismatch (sent %s, computed %s) — corrupted in transit", row.Hash, row.Sum, got)
+		}
 	}
 	r, err := scenario.DecodeResult(raw)
 	if err != nil {

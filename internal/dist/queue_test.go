@@ -1,7 +1,9 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -355,6 +357,52 @@ func TestDecodeRowGate(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := dist.DecodeRow(tc.mutate(row)); err == nil {
 			t.Errorf("%s: DecodeRow accepted a bad row", tc.name)
+		}
+	}
+}
+
+// TestDecodeRowCompaction pins the rows DecodeRow accepts whether or not
+// it compacts them first: a compact row and the same row re-indented in
+// transit pass; a row tampered inside a string and a row whose sum was
+// taken over re-indented bytes do not.
+func TestDecodeRowCompaction(t *testing.T) {
+	row, err := dist.WireRow("h1", scenario.Result{Platform: "ngmp-ref", Cycles: 42, Schema: scenario.ResultSchema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, row.Result, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(indented.Bytes(), row.Result) {
+		t.Fatal("re-indenting left the row unchanged")
+	}
+	reindented := row
+	reindented.Result = indented.Bytes()
+	tampered := row
+	tampered.Result = bytes.Replace(row.Result, []byte("ngmp-ref"), []byte("ngmp-var"), 1)
+	if bytes.Equal(tampered.Result, row.Result) {
+		t.Fatal("tampering left the row unchanged")
+	}
+	sumOverIndent := reindented
+	sumOverIndent.Sum = store.SumRow(row.Hash, indented.Bytes())
+
+	for _, tc := range []struct {
+		name string
+		row  dist.ResultRow
+		ok   bool
+	}{
+		{"compact", row, true},
+		{"re-indented", reindented, true},
+		{"tampered inside a string", tampered, false},
+		{"sum over re-indented bytes", sumOverIndent, false},
+	} {
+		r, err := dist.DecodeRow(tc.row)
+		if tc.ok && (err != nil || r.Platform != "ngmp-ref" || r.Cycles != 42) {
+			t.Errorf("%s: DecodeRow = %+v, %v; want the row back", tc.name, r, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: DecodeRow accepted it", tc.name)
 		}
 	}
 }

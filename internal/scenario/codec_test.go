@@ -72,7 +72,11 @@ func hashReference(j Job) string {
 // the WRR weights are the bytes of another, signed and scaled.
 func FuzzJobHash(f *testing.F) {
 	for _, g := range []string{"fig2", "fig7", "derive", "mix"} {
-		c, err := CompileGenerator(g, Params{"count": 3})
+		var params Params
+		if g == "mix" {
+			params = Params{"count": 3}
+		}
+		c, err := CompileGenerator(g, params)
 		if err != nil {
 			f.Fatal(err)
 		}

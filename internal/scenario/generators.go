@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -13,13 +14,131 @@ import (
 	"rrbus/internal/workload"
 )
 
-// Params are generator knobs: a free-form JSON object with typed getters
-// that fall back to generator defaults, so scenario files only spell the
-// knobs they change. The getters also accept natively typed Go values
-// (int, uint64, []int, []string), so in-process callers — the figures
-// package parameterizing a generator programmatically — use the same
-// expansion path as scenario files.
+// Params are generator knobs: a JSON object with typed getters that fall
+// back to generator defaults for absent keys, so scenario files only spell
+// the knobs they change. The getters also accept natively typed Go values
+// (int, uint64, []int, []string), so in-process callers — the CLIs
+// parameterizing a generator programmatically — use the same expansion
+// path as scenario files. Plan.Expand first checks every key and value
+// against the generator's declared Params, so a misspelled key or a value
+// of the wrong kind is an error, not a silent default.
 type Params map[string]any
+
+// ParamKind is the kind of value a generator parameter takes.
+type ParamKind uint8
+
+const (
+	// ParamInt is an integer: a JSON number without a fraction, or a Go
+	// int, int64 or uint64.
+	ParamInt ParamKind = iota + 1
+	// ParamUint is a non-negative ParamInt (seeds, iteration counts).
+	ParamUint
+	// ParamString is a string.
+	ParamString
+	// ParamStrings is a list of strings.
+	ParamStrings
+	// ParamInts is a list of integers.
+	ParamInts
+)
+
+// String names the kind in errors.
+func (k ParamKind) String() string {
+	switch k {
+	case ParamInt:
+		return "an integer"
+	case ParamUint:
+		return "a non-negative integer"
+	case ParamString:
+		return "a string"
+	case ParamStrings:
+		return "a list of strings"
+	case ParamInts:
+		return "a list of integers"
+	}
+	return fmt.Sprintf("ParamKind(%d)", uint8(k))
+}
+
+// intParam reports whether v is an integer in one of the forms Params.Int
+// reads, and whether it is negative.
+func intParam(v any) (ok, negative bool) {
+	switch n := v.(type) {
+	case float64:
+		return n == math.Trunc(n) && math.Abs(n) < 1<<63, n < 0
+	case int:
+		return true, n < 0
+	case int64:
+		return true, n < 0
+	case uint64:
+		return true, false
+	case json.Number:
+		i, err := n.Int64()
+		return err == nil, i < 0
+	}
+	return false, false
+}
+
+// accepts reports whether v is a value of kind k.
+func (k ParamKind) accepts(v any) bool {
+	switch k {
+	case ParamInt, ParamUint:
+		ok, negative := intParam(v)
+		return ok && !(k == ParamUint && negative)
+	case ParamString:
+		_, ok := v.(string)
+		return ok
+	case ParamStrings:
+		if _, ok := v.([]string); ok {
+			return true
+		}
+		list, ok := v.([]any)
+		for _, e := range list {
+			if _, isString := e.(string); !isString {
+				return false
+			}
+		}
+		return ok
+	case ParamInts:
+		if _, ok := v.([]int); ok {
+			return true
+		}
+		// Params.Ints reads the JSON numbers of a decoded list only.
+		list, ok := v.([]any)
+		for _, e := range list {
+			_, isNumber := e.(float64)
+			if isInt, _ := intParam(e); !isNumber || !isInt {
+				return false
+			}
+		}
+		return ok
+	}
+	return false
+}
+
+// checkParams rejects a key g does not declare, naming g's keys, and a
+// value of the wrong kind, naming its key. Keys are checked in sorted
+// order, so the error is the same on every run.
+func (g Generator) checkParams(p Params) error {
+	keys := make([]string, 0, len(p))
+	for k := range p {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		kind, ok := g.Params[k]
+		if !ok {
+			valid := make([]string, 0, len(g.Params))
+			for v := range g.Params {
+				valid = append(valid, v)
+			}
+			sort.Strings(valid)
+			return fmt.Errorf("unknown param %q (valid: %s)", k, strings.Join(valid, ", "))
+		}
+		if !kind.accepts(p[k]) {
+			return fmt.Errorf("param %q must be %s, not %#v", k, kind, p[k])
+		}
+	}
+	return nil
+}
 
 // Int reads an integer parameter (JSON numbers arrive as float64).
 func (p Params) Int(key string, def int) int {
@@ -114,6 +233,10 @@ type Generator struct {
 	Name string
 	// Desc is a one-line description for CLI listings.
 	Desc string
+	// Params declares every parameter Expand reads and the kind of its
+	// value; Plan.Expand rejects any other key and any value of another
+	// kind before Expand runs.
+	Params map[string]ParamKind
 	// Expand produces the job list.
 	Expand func(p Params) ([]Job, error)
 }
@@ -128,8 +251,8 @@ var (
 func Register(g Generator) {
 	genMu.Lock()
 	defer genMu.Unlock()
-	if g.Name == "" || g.Expand == nil {
-		panic("scenario: generator needs a name and an Expand func")
+	if g.Name == "" || g.Params == nil || g.Expand == nil {
+		panic("scenario: generator needs a name, its params and an Expand func")
 	}
 	if _, dup := genReg[g.Name]; dup {
 		panic(fmt.Sprintf("scenario: duplicate generator %q", g.Name))
@@ -332,8 +455,9 @@ func init() {
 	// buffer's back-to-back drains; δ >= 1 is rsk-nop(load, δ-1) since
 	// δ = DL1lat + k with DL1lat = 1 on the toy platform.
 	Register(Generator{
-		Name: "fig3",
-		Desc: "γ(δ) matrix on the toy platform (Fig. 3)",
+		Name:   "fig3",
+		Desc:   "γ(δ) matrix on the toy platform (Fig. 3)",
+		Params: map[string]ParamKind{"max_delta": ParamInt},
 		Expand: func(p Params) ([]Job, error) {
 			maxDelta := p.Int("max_delta", 13)
 			nc, err := coresOf("toy")
@@ -363,8 +487,9 @@ func init() {
 
 	// fig4: the saw-tooth γ(δ) on a full-scale platform.
 	Register(Generator{
-		Name: "fig4",
-		Desc: "saw-tooth γ(δ) on the reference platform (Fig. 4)",
+		Name:   "fig4",
+		Desc:   "saw-tooth γ(δ) on the reference platform (Fig. 4)",
+		Params: map[string]ParamKind{"arch": ParamString, "max_delta": ParamInt},
 		Expand: func(p Params) ([]Job, error) {
 			arch := p.String("arch", "ref")
 			cfg, err := sim.ByName(arch)
@@ -394,8 +519,9 @@ func init() {
 	// trace-bearing job; the timeline is rendered from the recorded
 	// events (δ = 9 suffers γ = 3 < ubd = 6).
 	Register(Generator{
-		Name: "fig2",
-		Desc: "Fig. 2 timeline: one δ=9 request vs 3 saturating rsk on the toy platform",
+		Name:   "fig2",
+		Desc:   "Fig. 2 timeline: one δ=9 request vs 3 saturating rsk on the toy platform",
+		Params: map[string]ParamKind{"k": ParamInt, "trace": ParamInt},
 		Expand: func(p Params) ([]Job, error) {
 			cfg, err := sim.ByName("toy")
 			if err != nil {
@@ -421,8 +547,9 @@ func init() {
 	// (the paper shows k = 1, 2, 5, 6: γ decreases until the alignment
 	// wraps and jumps back up).
 	Register(Generator{
-		Name: "fig5",
-		Desc: "Fig. 5 nop-insertion timelines on the toy platform, one job per k",
+		Name:   "fig5",
+		Desc:   "Fig. 5 nop-insertion timelines on the toy platform, one job per k",
+		Params: map[string]ParamKind{"ks": ParamInts, "trace": ParamInt},
 		Expand: func(p Params) ([]Job, error) {
 			ks := p.Ints("ks", []int{1, 2, 5, 6})
 			nc, err := coresOf("toy")
@@ -449,8 +576,9 @@ func init() {
 
 	// fig6a: random EEMBC-like task sets plus the 4xRSK reference row.
 	Register(Generator{
-		Name: "fig6a",
-		Desc: "ready-contender histograms of random EEMBC workloads vs 4xrsk (Fig. 6a)",
+		Name:   "fig6a",
+		Desc:   "ready-contender histograms of random EEMBC workloads vs 4xrsk (Fig. 6a)",
+		Params: map[string]ParamKind{"arch": ParamString, "count": ParamInt, "seed": ParamUint},
 		Expand: func(p Params) ([]Job, error) {
 			arch := p.String("arch", "ref")
 			count := p.Int("count", 8)
@@ -485,8 +613,9 @@ func init() {
 
 	// fig6b: the rsk-vs-3-rsk contention histograms per architecture.
 	Register(Generator{
-		Name: "fig6b",
-		Desc: "contention-delay histograms of rsk vs Nc-1 rsk (Fig. 6b)",
+		Name:   "fig6b",
+		Desc:   "contention-delay histograms of rsk vs Nc-1 rsk (Fig. 6b)",
+		Params: map[string]ParamKind{"archs": ParamStrings, "arch": ParamString, "arch2": ParamString},
 		Expand: func(p Params) ([]Job, error) {
 			var jobs []Job
 			archs := p.Strings("archs", []string{p.String("arch", "ref"), p.String("arch2", "var")})
@@ -512,8 +641,9 @@ func init() {
 	// and the canonical shardable job list (one job per k, isolation
 	// paired). params: arch, type (load|store), kmax, iters, warmup.
 	Register(Generator{
-		Name: "fig7",
-		Desc: "rsk-nop(t,k) slowdown sweep, isolation-paired (Fig. 7 / derivation input)",
+		Name:   "fig7",
+		Desc:   "rsk-nop(t,k) slowdown sweep, isolation-paired (Fig. 7 / derivation input)",
+		Params: map[string]ParamKind{"arch": ParamString, "type": ParamString, "kmin": ParamInt, "kmax": ParamInt, "warmup": ParamUint, "iters": ParamUint},
 		Expand: func(p Params) ([]Job, error) {
 			arch := p.String("arch", "ref")
 			typ := p.String("type", "load")
@@ -526,8 +656,9 @@ func init() {
 	// the var sweep in one job list, so one recorded file holds the whole
 	// two-architecture figure.
 	Register(Generator{
-		Name: "fig7a",
-		Desc: "rsk-nop(load,k) slowdown sweeps on ref and var (Fig. 7a)",
+		Name:   "fig7a",
+		Desc:   "rsk-nop(load,k) slowdown sweeps on ref and var (Fig. 7a)",
+		Params: map[string]ParamKind{"arch": ParamString, "arch2": ParamString, "kmax": ParamInt, "warmup": ParamUint, "iters": ParamUint},
 		Expand: func(p Params) ([]Job, error) {
 			kmax := p.Int("kmax", 60)
 			warmup, iters := p.Uint64("warmup", 3), p.Uint64("iters", 20)
@@ -546,8 +677,9 @@ func init() {
 	// fig7b: the Fig. 7(b) store sweep — a fig7-shaped list whose renderer
 	// reports where the store buffer starts hiding all contention.
 	Register(Generator{
-		Name: "fig7b",
-		Desc: "rsk-nop(store,k) slowdown sweep (Fig. 7b)",
+		Name:   "fig7b",
+		Desc:   "rsk-nop(store,k) slowdown sweep (Fig. 7b)",
+		Params: map[string]ParamKind{"arch": ParamString, "kmax": ParamInt, "warmup": ParamUint, "iters": ParamUint},
 		Expand: func(p Params) ([]Job, error) {
 			arch := p.String("arch", "ref")
 			return sweepJobs("fig7b/"+arch, arch, "store",
@@ -560,8 +692,9 @@ func init() {
 	// k range, preceded by the δnop calibration job at index 0. Detection
 	// runs over the merged series (core.DeriveFromSeries).
 	Register(Generator{
-		Name: "derive",
-		Desc: "derivation k-sweep: δnop calibration + isolation-paired rsk-nop jobs",
+		Name:   "derive",
+		Desc:   "derivation k-sweep: δnop calibration + isolation-paired rsk-nop jobs",
+		Params: map[string]ParamKind{"arch": ParamString, "type": ParamString, "cores": ParamInt, "transfer": ParamInt, "l2hit": ParamInt, "kmin": ParamInt, "kmax": ParamInt},
 		Expand: func(p Params) ([]Job, error) {
 			arch := p.String("arch", "ref")
 			typ := p.String("type", "load")
@@ -583,8 +716,9 @@ func init() {
 	// abl-scaling: the Eq. 1 recovery grid — a derivation block per
 	// (cores, l2hit) geometry, flattened into one shardable job list.
 	Register(Generator{
-		Name: "abl-scaling",
-		Desc: "Eq. 1 recovery grid: derivation sweeps across geometries (ablation E9c)",
+		Name:   "abl-scaling",
+		Desc:   "Eq. 1 recovery grid: derivation sweeps across geometries (ablation E9c)",
+		Params: map[string]ParamKind{"arch": ParamString, "cores": ParamInts, "l2hits": ParamInts, "kmax": ParamInt},
 		Expand: func(p Params) ([]Job, error) {
 			arch := p.String("arch", "ref")
 			cores := p.Ints("cores", []int{2, 4, 6, 8})
@@ -613,8 +747,9 @@ func init() {
 	// abl-arb: the arbitration-policy ablation — one derivation block per
 	// policy, so the per-policy bounds re-derive from the recorded rows.
 	Register(Generator{
-		Name: "abl-arb",
-		Desc: "derivation sweeps under each arbitration policy (ablation E9a)",
+		Name:   "abl-arb",
+		Desc:   "derivation sweeps under each arbitration policy (ablation E9a)",
+		Params: map[string]ParamKind{"arch": ParamString, "kmax": ParamInt},
 		Expand: func(p Params) ([]Job, error) {
 			arch := p.String("arch", "ref")
 			kmax := p.Int("kmax", 60)
@@ -636,8 +771,9 @@ func init() {
 	// sparsely; the naive period×δnop reading aliases, the model fit does
 	// not.
 	Register(Generator{
-		Name: "abl-dnop",
-		Desc: "derivation sweeps across nop latencies 1..max_nop (ablation E9b)",
+		Name:   "abl-dnop",
+		Desc:   "derivation sweeps across nop latencies 1..max_nop (ablation E9b)",
+		Params: map[string]ParamKind{"arch": ParamString, "max_nop": ParamInt, "kmax": ParamInt},
 		Expand: func(p Params) ([]Job, error) {
 			arch := p.String("arch", "ref")
 			maxNop := p.Int("max_nop", 3)
@@ -669,8 +805,9 @@ func init() {
 	// fully deterministic: the same seed always expands to the identical
 	// job list.
 	Register(Generator{
-		Name: "mix",
-		Desc: "seeded random workload mixes across arbitration policies",
+		Name:   "mix",
+		Desc:   "seeded random workload mixes across arbitration policies",
+		Params: map[string]ParamKind{"arch": ParamString, "count": ParamInt, "seed": ParamUint, "arbiters": ParamStrings, "kmax": ParamInt},
 		Expand: func(p Params) ([]Job, error) {
 			arch := p.String("arch", "ref")
 			count := p.Int("count", 8)
@@ -745,8 +882,9 @@ func init() {
 	// in the scenario name, which no job hash covers: one row serves
 	// every ubdm.
 	Register(Generator{
-		Name: "etb",
-		Desc: "§4.3 execution-time bound of a task alone, checked vs Nc-1 rsk and random task sets",
+		Name:   "etb",
+		Desc:   "§4.3 execution-time bound of a task alone, checked vs Nc-1 rsk and random task sets",
+		Params: map[string]ParamKind{"arch": ParamString, "task": ParamString, "seed": ParamUint, "count": ParamInt, "ubdm": ParamInt},
 		Expand: func(p Params) ([]Job, error) {
 			arch := p.String("arch", "ref")
 			task := p.String("task", "tblook")

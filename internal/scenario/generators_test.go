@@ -1,7 +1,9 @@
 package scenario_test
 
 import (
+	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -399,5 +401,45 @@ func TestETBUnknownTaskRefusedAtRun(t *testing.T) {
 	_, _, err := run("etb", scenario.Params{"task": "nosuchtask", "count": 0})
 	if err == nil || !strings.Contains(err.Error(), `unknown task "nosuchtask"`) {
 		t.Errorf("err = %v, want it to name the unknown task", err)
+	}
+}
+
+// TestGeneratorParamsChecked: a key the generator does not declare and a
+// value of the wrong kind are expansion errors, the first naming the
+// generator and its keys, the second naming the key. Both etb repros
+// used to render ubdm = 27 silently. Every plan file under
+// examples/scenarios still expands.
+func TestGeneratorParamsChecked(t *testing.T) {
+	for _, tc := range []struct {
+		plan string
+		want []string
+	}{
+		{`{"generator":"etb","params":{"ubdm":"1"}}`, []string{`"etb"`, `param "ubdm" must be an integer`}},
+		{`{"generator":"etb","params":{"ubmd":1}}`, []string{`"etb"`, `unknown param "ubmd"`, "valid: arch, count, seed, task, ubdm"}},
+		{`{"generator":"fig7","params":{"kmax":12.5}}`, []string{`param "kmax" must be an integer`}},
+		{`{"generator":"mix","params":{"seed":-1}}`, []string{`param "seed" must be a non-negative integer`}},
+		{`{"generator":"mix","params":{"arbiters":["rr",3]}}`, []string{`param "arbiters" must be a list of strings`}},
+		{`{"generator":"fig5","params":{"ks":[1,"2"]}}`, []string{`param "ks" must be a list of integers`}},
+		{`{"generator":"fig6b","params":{"archs":"ref"}}`, []string{`param "archs" must be a list of strings`}},
+	} {
+		var p scenario.Plan
+		if err := json.Unmarshal([]byte(tc.plan), &p); err != nil {
+			t.Fatal(err)
+		}
+		_, err := scenario.Compile(&p)
+		for _, want := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want it to contain %s", tc.plan, err, want)
+			}
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example plans found (%v)", err)
+	}
+	for _, f := range files {
+		if _, err := scenario.LoadCompiled(f); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
 	}
 }

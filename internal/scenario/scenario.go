@@ -373,6 +373,9 @@ func (p *Plan) Expand() ([]Job, error) {
 		if !ok {
 			return nil, fmt.Errorf("scenario: unknown generator %q (have: %s)", p.Generator, strings.Join(Names(), ", "))
 		}
+		if err := g.checkParams(p.Params); err != nil {
+			return nil, fmt.Errorf("scenario: generator %q: %w", p.Generator, err)
+		}
 		jobs, err := g.Expand(p.Params)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: generator %q: %w", p.Generator, err)

@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"reflect"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"rrbus/internal/bus"
@@ -20,16 +21,20 @@ import (
 // of that pattern individually. This detector fingerprints the complete
 // architectural state at the watched core's iteration boundaries and keeps
 // the recent fingerprints (with observable snapshots) in a ring; when a
-// fingerprint recurs, the system has entered a periodic fixed point, and
-// everything that happens in one period happens identically (time-shifted)
-// in every following period. The recurrence closes the first period — its
-// observable delta comes straight off the ring — and one more full-state
-// confirmation a period later closes the second; the two deltas must agree
-// exactly, after which the detector extrapolates K whole periods in closed
-// form: counters advance by K times the delta, every absolute-cycle field
-// shifts by K times the period, and event-driven execution resumes —
-// bit-identical to having simulated the K periods, because nothing in the
-// skipped span could have differed from the verified period.
+// fingerprint recurs, it proposes a period. The recurrence (T1) closes the
+// first period — its observable delta comes straight off the ring — and
+// the detector records the exact canonical word stream of the full state
+// there. One period later (T1 + P) it requires the same fingerprint, a
+// second delta equal to the first, and the same exact stream. Equal
+// streams mean equal state, so by determinism everything that happened
+// from T1 to T1 + P happens identically (time-shifted) in every following
+// period, whatever fingerprint proposed the period: a fingerprint
+// collision costs one failed confirmation, never a wrong leap. The
+// detector then extrapolates K whole periods in closed form: counters
+// advance by K times the delta, every absolute-cycle field shifts by K
+// times the period, and event-driven execution resumes — bit-identical to
+// having simulated the K periods, because nothing in the skipped span
+// could have differed from the verified period.
 //
 // K is chosen so the RunUntil target lands inside or after the first
 // non-extrapolated period (the leap stops one period short of the
@@ -44,8 +49,19 @@ import (
 // digest its state.
 
 // ssExtrapolated/ssPeriods tally cycles covered by steady-state leaps and
-// whole periods leapt across every System in the process (see ExecStats).
-var ssExtrapolated, ssPeriods atomic.Uint64
+// whole periods leapt across every System in the process (see ExecStats);
+// ssRejected counts candidate periods whose fingerprints and deltas
+// agreed but whose exact state streams did not.
+var ssExtrapolated, ssPeriods, ssRejected atomic.Uint64
+
+// ssFingerprint, when set, replaces ssDigest as the fingerprint that
+// proposes periods. Only tests set it, to a deliberately weak one, to show
+// that the exact confirmation alone keeps leaps correct.
+var ssFingerprint func(*System) statehash.Sum
+
+// ssStreams pools the exact-state recordings: a System holds one only
+// while a candidate period awaits confirmation.
+var ssStreams = sync.Pool{New: func() any { return new([]uint64) }}
 
 // Detector tuning. The ring must span at least one full period of
 // observations for a recurrence to be found: with one observation per
@@ -58,6 +74,11 @@ const (
 	ssRing      = 32
 	ssObsBudget = 4096
 )
+
+// ssWords sizes the stack buffer an observation collects the cores', bus,
+// memory controller and wake registry words in (appendState); a larger
+// platform state spills to the heap, which costs time, not correctness.
+const ssWords = 512
 
 const (
 	ssOff     uint8 = iota // disarmed: no observation overhead
@@ -72,8 +93,8 @@ type ssRingEntry struct {
 
 // ssSnapshot captures every observable the simulator accumulates — the
 // quantities a leap must extrapolate. Architectural state is deliberately
-// absent: the digests prove it recurs, so it needs no adjustment beyond the
-// uniform time shift.
+// absent: the exact state streams prove it recurs, so it needs no
+// adjustment beyond the uniform time shift.
 type ssSnapshot struct {
 	cycle uint64
 	ctr   []cpu.Counters
@@ -208,6 +229,39 @@ func (d *ssDelta) diff(a, b *ssSnapshot) bool {
 	return true
 }
 
+// equal reports whether d and o hold the same delta, field by field over
+// everything diff fills.
+func (d *ssDelta) equal(o *ssDelta) bool {
+	return d.cycles == o.cycles &&
+		slices.Equal(d.ctr, o.ctr) &&
+		slices.Equal(d.sb, o.sb) &&
+		slices.Equal(d.dl1, o.dl1) &&
+		slices.Equal(d.il1, o.il1) &&
+		d.l2 == o.l2 &&
+		slices.Equal(d.bus.Grants, o.bus.Grants) &&
+		slices.Equal(d.bus.BusyCycles, o.bus.BusyCycles) &&
+		slices.Equal(d.bus.WaitSum, o.bus.WaitSum) &&
+		slices.Equal(d.bus.MaxGamma, o.bus.MaxGamma) &&
+		d.bus.TotalBusy == o.bus.TotalBusy &&
+		slices.Equal(d.gamma, o.gamma) &&
+		slices.Equal(d.cont, o.cont) &&
+		d.mem == o.mem
+}
+
+// maxesHeld reports whether the period left every high-water mark (bus
+// MaxGamma, mem MaxQueue) where it was. A period that starts and ends in
+// the same state replays its values in every later period, so from its
+// end on no maximum moves again; extrapolating a delta is exact only when
+// its max-type fields are zero.
+func (d *ssDelta) maxesHeld() bool {
+	for _, v := range d.bus.MaxGamma {
+		if v != 0 {
+			return false
+		}
+	}
+	return d.mem.MaxQueue == 0
+}
+
 // ssDetector is the per-System detector state. It is re-armed at every
 // event-driven RunUntil entry and performs at most one leap per run. The
 // snapshot ring parallels the fingerprint ring: snaps[i] holds the
@@ -222,8 +276,10 @@ type ssDetector struct {
 	ringN     int
 	ringPos   int
 	period    uint64
+	floor     uint64 // longest period the exact comparison refuted
 	expect    uint64
 	full      statehash.Sum
+	stream    *[]uint64 // the exact state at T1, from ssStreams
 	snapPrev  ssSnapshot
 	snapCur   ssSnapshot
 	d1        ssDelta
@@ -245,44 +301,102 @@ func (s *System) ssArm() {
 	}
 	d.state = ssScan
 	d.ringN, d.ringPos = 0, 0
+	d.floor = 0
 	d.budget = ssObsBudget
 	d.lastIters = s.cores[s.ssWatch].Iters()
 }
 
-// ssDigest fingerprints the complete architectural state, every absolute
-// cycle expressed relative to the current cycle so recurrences hash equal
-// anywhere on the time axis. The cache digests walk only occupied sets
-// (cost proportional to the working set), which is what makes a full
-// fingerprint at every observation affordable. Equal digests at two cycles
-// mean the system's entire future evolution from those cycles is identical
-// modulo the time shift — the simulator is deterministic and every
-// component's dynamics depend only on cycle differences (TDMA's frame
-// phase is folded into the arbiter digest).
-func (s *System) ssDigest() statehash.Sum {
-	h := statehash.New()
+// appendState appends the canonical word stream of every core, the bus,
+// the memory controller and the wake registry to buf, every absolute cycle
+// expressed relative to the current cycle so recurrences produce equal
+// streams anywhere on the time axis. The caches' streams follow in
+// ssRecord and ssMatch; together they are the full state, and equal full
+// streams at two cycles mean the system's entire future evolution from
+// those cycles is identical modulo the time shift — the simulator is
+// deterministic and every component's dynamics depend only on cycle
+// differences (TDMA's frame phase is part of the arbiter's word).
+func (s *System) appendState(buf []uint64) []uint64 {
 	now := s.cycle
 	for _, c := range s.cores {
-		c.DigestState(&h, now)
+		buf = c.AppendState(buf, now)
 	}
-	s.bus.DigestState(&h, now)
-	s.mc.DigestState(&h, now)
+	buf = s.bus.AppendState(buf, now)
+	buf = s.mc.AppendState(buf, now)
 	// The wake registry is scheduler state: a stale-but-valid wake changes
 	// when a component is next ticked, so two states only evolve
 	// identically if their registered wakes match too. All finite wakes are
 	// >= now after a step (due components were just ticked and re-registered).
 	for i := 0; i < s.eq.Len(); i++ {
 		if w := s.eq.Wake(i); w == infinity {
-			h.Add(infinity)
+			buf = append(buf, infinity)
 		} else {
-			h.Add(w - now)
+			buf = append(buf, w-now)
 		}
 	}
+	return buf
+}
+
+// ssDigest is the fingerprint that proposes periods: the hash of words
+// (appendState's) and every cache's incremental digest, which costs in
+// proportion to the sets that changed since the previous observation.
+func (s *System) ssDigest(words []uint64) statehash.Sum {
+	h := statehash.New()
+	h.AddWords(words)
 	for _, c := range s.cores {
 		c.DL1().DigestState(&h)
 		c.IL1().DigestState(&h)
 	}
 	s.l2.DigestState(&h)
 	return h.Sum()
+}
+
+// ssRecord stores the full state stream at a candidate's first end (T1):
+// words, then every cache walked in full.
+func (s *System) ssRecord(words []uint64) {
+	d := &s.ss
+	if d.stream == nil {
+		d.stream = ssStreams.Get().(*[]uint64)
+	}
+	n := len(words) + s.l2.StateLen()
+	for _, c := range s.cores {
+		n += c.DL1().StateLen() + c.IL1().StateLen()
+	}
+	buf := append(slices.Grow((*d.stream)[:0], n), words...)
+	for _, c := range s.cores {
+		buf = c.DL1().AppendState(buf)
+		buf = c.IL1().AppendState(buf)
+	}
+	*d.stream = s.l2.AppendState(buf)
+}
+
+// ssMatch reports whether the full state stream now (words, then every
+// cache) equals the one ssRecord stored, comparing each cache while it
+// walks.
+func (s *System) ssMatch(words []uint64) bool {
+	rec := *s.ss.stream
+	if len(rec) < len(words) || !slices.Equal(rec[:len(words)], words) {
+		return false
+	}
+	rec = rec[len(words):]
+	ok := true
+	for _, c := range s.cores {
+		if rec, ok = c.DL1().MatchState(rec); !ok {
+			return false
+		}
+		if rec, ok = c.IL1().MatchState(rec); !ok {
+			return false
+		}
+	}
+	rec, ok = s.l2.MatchState(rec)
+	return ok && len(rec) == 0
+}
+
+// dropStream hands a held recording back to the pool.
+func (d *ssDetector) dropStream() {
+	if d.stream != nil {
+		ssStreams.Put(d.stream)
+		d.stream = nil
+	}
 }
 
 // ssApply adds k times the per-period delta into every accumulated
@@ -306,23 +420,30 @@ func (s *System) ssApply(d *ssDelta, k uint64) {
 }
 
 // ssObserve runs the detector at a watched-core iteration boundary (the
-// event loop calls it after pred returned false). Scanning pushes full
+// event loop calls it after pred returned false). Scanning pushes
 // fingerprints (with observable snapshots) through the ring; a recurrence
 // against a ring entry closes the first period — its delta is the
-// difference to that entry's snapshot — and promotes to confirmation,
-// which requires the same fingerprint exactly one period later AND an
-// identical second delta, after which the leap executes. A digest or delta
-// mismatch drops back to scanning with the observation history intact:
-// fingerprints are full-state, so a failed confirmation never re-latches
-// the same false period.
+// difference to that entry's snapshot — records the exact state stream and
+// promotes to confirmation. Confirmation exactly one period later requires
+// the same fingerprint, an identical second delta and an identical exact
+// stream, after which the leap executes. Any mismatch drops back to
+// scanning with the observation history intact.
 func (s *System) ssObserve(pred func() bool, maxCycles uint64) {
 	d := &s.ss
 	if d.budget--; d.budget < 0 {
 		d.state = ssOff
+		d.dropStream()
 		return
 	}
 	now := s.cycle
-	sum := s.ssDigest()
+	var buf [ssWords]uint64
+	words := s.appendState(buf[:0])
+	var sum statehash.Sum
+	if ssFingerprint != nil {
+		sum = ssFingerprint(s)
+	} else {
+		sum = s.ssDigest(words)
+	}
 	if d.state == ssConfirm {
 		if now != d.expect {
 			// Intermediate boundary inside the candidate period: keep
@@ -332,32 +453,40 @@ func (s *System) ssObserve(pred func() bool, maxCycles uint64) {
 			// failed candidate.)
 			if now > d.expect {
 				d.state = ssScan
+				d.dropStream()
 			}
 			d.push(s, sum, now)
 			return
 		}
 		if sum == d.full {
 			d.snapCur.take(s)
-			// The two deltas must agree exactly. This is also what makes
-			// extrapolating the max-type fields (bus MaxGamma, mem
-			// MaxQueue) sound — a state-identical period replays the same
-			// values, so a max can only move in its first occurrence; a
-			// nonzero first-interval delta therefore cannot repeat and
-			// fails this comparison, while the zero delta it leaves behind
-			// is safe to multiply.
-			if d.d2.diff(&d.snapPrev, &d.snapCur) && reflect.DeepEqual(&d.d1, &d.d2) {
-				s.ssLeap(pred, maxCycles)
-				return
+			// The two deltas must agree exactly and leave every maximum
+			// where it was: a state-identical period replays the same
+			// values, so a max can only move in its first occurrence, and
+			// multiplying a nonzero max delta would be wrong. Only then is
+			// the exact state compared, the one walk a candidate pays.
+			if d.d2.diff(&d.snapPrev, &d.snapCur) && d.d1.equal(&d.d2) && d.d2.maxesHeld() {
+				if s.ssMatch(words) {
+					d.dropStream()
+					s.ssLeap(pred, maxCycles)
+					return
+				}
+				// The fingerprint recurs at this period but the state does
+				// not: propose only longer periods from now on, or a weak
+				// fingerprint would re-propose this one forever.
+				ssRejected.Add(1)
+				d.floor = d.period
 			}
 		}
 		d.state = ssScan
+		d.dropStream()
 		d.push(s, sum, now)
 		return
 	}
 	for i := 0; i < d.ringN; i++ { // newest first: prefer the shortest period
 		j := (d.ringPos - 1 - i + ssRing) % ssRing
 		e := &d.ring[j]
-		if e.sum == sum {
+		if e.sum == sum && now-e.cycle > d.floor {
 			// Snapshot the current point before pushing: the push may
 			// overwrite the matched slot when it is the ring's oldest.
 			d.snapPrev.take(s)
@@ -366,6 +495,7 @@ func (s *System) ssObserve(pred func() bool, maxCycles uint64) {
 				d.period = now - e.cycle
 				d.expect = now + d.period
 				d.full = sum
+				s.ssRecord(words)
 				d.push(s, sum, now)
 				return
 			}

@@ -53,6 +53,10 @@ func runThreeWay(t *testing.T, cfg Config, w Workload, opt RunOpts) *Measurement
 // simply never leap).
 func TestSteadyStateRandomizedEquivalence(t *testing.T) {
 	t.Parallel()
+	randomizedEquivalence(t)
+}
+
+func randomizedEquivalence(t *testing.T) {
 	for _, arb := range eqArbiters() {
 		for _, seed := range []uint64{7, 21, 42} {
 			t.Run(fmt.Sprintf("%s-seed%d", arb.name, seed), func(t *testing.T) {
@@ -74,6 +78,10 @@ func TestSteadyStateRandomizedEquivalence(t *testing.T) {
 // and requires three-way identical measurements under every arbiter.
 func TestSteadyStateStoreKernelEquivalence(t *testing.T) {
 	t.Parallel()
+	storeKernelEquivalence(t)
+}
+
+func storeKernelEquivalence(t *testing.T) {
 	for _, arb := range eqArbiters() {
 		t.Run(arb.name, func(t *testing.T) {
 			b := kernel.NewBuilder(arb.cfg.DL1, arb.cfg.IL1, arb.cfg.L2)
@@ -257,6 +265,10 @@ func withArbiters(cfg Config) []Config {
 // core idle).
 func TestSteadyStateIsolationEquivalence(t *testing.T) {
 	t.Parallel()
+	isolationEquivalence(t)
+}
+
+func isolationEquivalence(t *testing.T) {
 	for _, base := range []Config{NGMPRef(), NGMPVar(), Toy(), Scaled(NGMPRef(), 6, 3, 6)} {
 		for _, cfg := range withArbiters(base) {
 			b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
@@ -282,6 +294,10 @@ func TestSteadyStateIsolationEquivalence(t *testing.T) {
 // the scua's port in the arbitration order.
 func TestSteadyStateIdleSlotEquivalence(t *testing.T) {
 	t.Parallel()
+	idleSlotEquivalence(t)
+}
+
+func idleSlotEquivalence(t *testing.T) {
 	const scuaCore = 2
 	for _, cfg := range withArbiters(NGMPRef()) {
 		b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)

@@ -529,6 +529,8 @@ func (s *System) RunUntil(pred func() bool, maxCycles uint64) bool {
 	defer func() {
 		execSteps.Add(s.steps - startSteps)
 		execCycles.Add(s.cycle - startCycle)
+		// A candidate period never outlives its RunUntil (ssArm rescans).
+		s.ss.dropStream()
 	}()
 	if pred() {
 		return true

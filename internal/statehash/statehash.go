@@ -4,11 +4,11 @@
 //
 // The hash is not cryptographic; it is two independent 64-bit multiplicative
 // mixes (an FNV-1a-style lane and a rotated Murmur-style lane) over a stream
-// of words. What matters for the detector is that (a) equal state streams
-// always produce equal sums — the detector's recurrence candidates are then
-// re-verified with full digests and counter-delta checks before any
-// extrapolation happens — and (b) accidental collisions across both lanes
-// are ~2^-128, far below any simulation length this package can reach.
+// of words. What matters for the detector is that equal state streams
+// always produce equal sums, so a recurring state is never missed. A sum
+// only proposes a period: before any extrapolation the detector compares
+// the exact word streams at both ends of it, and the counter deltas, so a
+// collision costs one failed confirmation, never a wrong leap.
 package statehash
 
 import "math/bits"
@@ -39,13 +39,19 @@ func (h *Hash) Add(v uint64) {
 	h.b = bits.RotateLeft64(h.b+v*primeB, 31) * primeA
 }
 
-// AddBool mixes a boolean as a word.
-func (h *Hash) AddBool(v bool) {
-	if v {
-		h.Add(1)
-	} else {
-		h.Add(0)
+// AddWords mixes a word stream, word by word in order.
+func (h *Hash) AddWords(ws []uint64) {
+	for _, w := range ws {
+		h.Add(w)
 	}
+}
+
+// Bool is a boolean as a stream word: 1 or 0.
+func Bool(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // Sum128 returns the two 64-bit lane sums.

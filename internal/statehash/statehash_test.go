@@ -33,14 +33,10 @@ func TestSumOrderMatters(t *testing.T) {
 	}
 }
 
-func TestAddBool(t *testing.T) {
-	yes, no := New(), New()
-	yes.AddBool(true)
-	no.AddBool(false)
-	if yes.Sum() == no.Sum() {
-		t.Fatal("AddBool(true) and AddBool(false) hash equal")
-	}
-	if yes.Sum() != sumOf(1) || no.Sum() != sumOf(0) {
-		t.Fatal("AddBool is not the word 1 or 0")
+func TestAddWordsAndBool(t *testing.T) {
+	h := New()
+	h.AddWords([]uint64{Bool(true), Bool(false), 9})
+	if h.Sum() != sumOf(1, 0, 9) {
+		t.Fatal("AddWords of Bool words is not the stream 1, 0, 9")
 	}
 }
