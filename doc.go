@@ -158,9 +158,19 @@
 // threshold. Express run-until conditions in simulated state (iterations
 // retired, a counter reaching a value) and pass cycle limits as
 // maxCycles; internal/sim's tests turn on a per-System predicate check
-// that makes the footgun panic. Runs of instructions that cannot touch
-// the bus (nops, IALUs of any latency and branches) on one fetch line
-// execute as one batched step so the jumps compound; the equivalence
+// that makes the footgun panic. A core runs ahead to its next
+// interaction with shared state so the jumps compound: one step issues
+// its instructions up to, not including, the next store, the next
+// instruction whose fetch or load misses its L1, or the last instruction
+// of its sequence, taking IL1 hits on new fetch lines and DL1 load hits
+// in program order on the way (no other agent touches a core's L1s).
+// Stores, misses and iteration ends stay live steps, because they touch
+// the store buffer's drains, the bus port and the detector's observation
+// points. Reads stay exact: each core's Counters() and its
+// DL1().Stats()/IL1().Stats(), read after RunUntil returns or across
+// ResetStats, equal the cycle-by-cycle loop's, because a run that stops
+// mid-batch takes the hits of the batch's later instructions back out of
+// the caches' statistics and the next run puts them back. The equivalence
 // tests cover the batching too.
 //
 // # Engine modes
@@ -200,10 +210,12 @@
 // only the sets whose state changed since the last observation, so a
 // cache digest costs in proportion to the sets that changed. The
 // three-way equivalence suite diffs full Measurements (γ and contender
-// histograms and PMCs included) across all modes, and CI records three
+// histograms and PMCs included) across all modes, and CI records four
 // scenarios in all three — one of them an isolation-paired job with an
 // idle core, one with EEMBC-like contenders whose cores issue
-// mixed-latency instruction batches — and compares the JSONL bytes.
+// mixed-latency instruction batches, and one isolation-paired job whose
+// EEMBC-like scua stores and hits DL1 against L2-missing contenders —
+// and compares the JSONL bytes.
 //
 // The fingerprint and the state stream deliberately leave out what no
 // future step reads: a finished core's next-free cycle, the markers of an

@@ -228,6 +228,20 @@ func (b *Bus) Arbiter() Arbiter { return b.arb }
 // Stats returns a copy of the accumulated statistics.
 func (b *Bus) Stats() Stats {
 	s := newStats(b.nports)
+	b.StatsInto(&s)
+	return s
+}
+
+// StatsInto copies the accumulated statistics into s, reusing the storage
+// of its slices when they are large enough, so a caller that samples the
+// statistics repeatedly allocates them once.
+func (b *Bus) StatsInto(s *Stats) {
+	n := b.nports
+	if cap(s.Grants) < n || cap(s.BusyCycles) < n || cap(s.WaitSum) < n || cap(s.MaxGamma) < n {
+		*s = newStats(n)
+	}
+	s.Grants, s.BusyCycles = s.Grants[:n], s.BusyCycles[:n]
+	s.WaitSum, s.MaxGamma = s.WaitSum[:n], s.MaxGamma[:n]
 	for p, ps := range b.pstats {
 		s.Grants[p] = ps.grants
 		s.BusyCycles[p] = ps.busy
@@ -235,7 +249,6 @@ func (b *Bus) Stats() Stats {
 		s.MaxGamma[p] = ps.maxGamma
 	}
 	s.TotalBusy = b.totalBusy
-	return s
 }
 
 // ResetStats zeroes the statistics (in-flight transactions are unaffected),

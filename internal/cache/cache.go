@@ -339,6 +339,32 @@ func (c *Cache) Access(addr uint64, isWrite bool, requester int) Result {
 	return c.fill(addr, setIdx, isWrite, requester)
 }
 
+// TryRead performs a read of addr only if it hits: the replacement state
+// and the read-hit count change exactly as under Access, and it reports
+// true. On a miss nothing changes and it reports false, so the caller can
+// look ahead through hits and leave a miss to a later Access.
+func (c *Cache) TryRead(addr uint64) bool {
+	setIdx := addr >> c.offBits & c.setMask
+	base := int(setIdx) * c.ways
+	want := addr>>c.tagShift<<1 | 1
+	set := c.lines[base : base+c.ways]
+	for i := range set {
+		if set[i].tag == want {
+			c.tick++
+			if c.lru {
+				set[i].stamp = c.tick<<1 | set[i].stamp&1
+				if c.mru[setIdx] != uint16(i) {
+					c.mru[setIdx] = uint16(i)
+					c.markDirty(setIdx)
+				}
+			}
+			c.stats.ReadHits++
+			return true
+		}
+	}
+	return false
+}
+
 // Fill allocates a line for addr without counting an access, for refills
 // that arrive later than the miss was recorded (e.g. DL1 allocation when the
 // bus returns data). It is idempotent for already-present lines.

@@ -10,6 +10,13 @@
 //     stall the pipeline when the buffer is full; buffered stores drain to
 //     the bus whenever the core's port is free, with zero injection time
 //     between consecutive drains.
+//
+// A core runs ahead to its next interaction with shared state: one Tick
+// issues every instruction up to the next store, the next L1 miss or the
+// sequence's last instruction as one batch, taking IL1 hits on new fetch
+// lines and DL1 load hits on the way (see execRun). Its counters and its
+// L1 statistics still read exactly as a one-instruction-per-Tick run
+// shows them (Counters, Observe, SyncNow, ResetCounters).
 package cpu
 
 import (
@@ -140,23 +147,28 @@ type Core struct {
 
 	sb *StoreBuffer
 
-	// noBatch disables instruction-run batching (runs of non-memory
-	// instructions), forcing one instruction per Tick — the pre-batching
-	// reference behavior the simulator's equivalence tests compare
-	// against.
+	// noBatch disables instruction batching, forcing one instruction per
+	// Tick — the reference behavior the simulator's equivalence tests
+	// compare against.
 	noBatch bool
 	// batchPC and batchStart are the pc of the most recent instruction
 	// batch's first instruction and the cycle it issued; batchEnd is the
 	// cycle the batch finishes issuing (its nextFree). The batch spans
 	// [batchPC, pc) of the current sequence while it is in flight, so
-	// Counters and ResetCounters re-walk it (batchTail) to split it
-	// exactly across a measurement-window boundary. now is the cycle of
-	// the core's latest Tick, the read point those splits are computed
-	// against.
+	// Counters, Observe, SyncNow and ResetCounters re-walk it (batchTail)
+	// to split it exactly across a read point or a measurement-window
+	// boundary. now is the cycle of the core's latest Tick, the read point
+	// those splits are computed against.
 	batchEnd   uint64
 	batchStart uint64
 	batchPC    int
 	now        uint64
+	// heldLoads and heldLines are the in-flight batch's DL1 and IL1 read
+	// hits that SyncNow or ResetCounters took out of the caches'
+	// statistics because they issue after the read point; Resume puts
+	// them back when the next run starts. Both are zero while a run is
+	// executing.
+	heldLoads, heldLines uint64
 
 	// stallKind/stallFrom implement closed-form stall accounting for the
 	// event-driven scheduler: a blocked attempt charges the whole span of
@@ -220,99 +232,150 @@ func (c *Core) Done() bool { return c.done }
 func (c *Core) Iters() uint64 { return c.ctr.Iters }
 
 // Counters returns a copy of the per-core counters as of the core's
-// latest executed cycle. An instruction batch (a run of non-memory
-// instructions) pre-commits its whole run's op counts and Instrs; the
-// instructions of the batch that serially would issue after that cycle
-// are subtracted, so readers observe exactly the
-// one-instruction-per-Tick counts.
+// latest executed cycle. An instruction batch pre-commits every
+// instruction it holds; those that serially would issue after that cycle
+// are subtracted, so readers observe exactly the one-instruction-per-Tick
+// counts.
 func (c *Core) Counters() Counters {
-	ctr := c.ctr
-	if c.now < c.batchEnd {
-		c.batchTail(&ctr, c.now+1, ^uint64(0))
-	}
+	ctr, _, _ := c.Observe()
 	return ctr
 }
 
-// runTally sums a run of non-memory instructions: the cycles they take
-// to issue back to back and how many of each kind they commit. It is the
-// single source of the opcode→latency and opcode→counter mappings, used
-// both when a batch is issued and when a mid-flight batch is split at a
-// window boundary.
-type runTally struct {
-	cycles, nops, alus, branches uint64
+// Observe returns Counters() together with the core's DL1 and IL1
+// statistics as one-instruction-per-Tick execution shows them at the same
+// read point: the L1 hits of the in-flight batch that issue after it are
+// left out, whether or not SyncNow has already taken them out of the
+// caches. The steady-state detector's snapshots read through it.
+func (c *Core) Observe() (ctr Counters, dl1, il1 cache.Stats) {
+	t, lines := c.tail()
+	ctr = c.ctr
+	t.commit(&ctr, ^uint64(0))
+	dl1, il1 = c.cfg.DL1.Stats(), c.cfg.IL1.Stats()
+	dl1.ReadHits += c.heldLoads - t.count(loadKind)
+	il1.ReadHits += c.heldLines - lines
+	return ctr, dl1, il1
 }
 
-// add returns t with in tallied when in is a non-memory instruction, and
-// reports whether it was; a memory instruction ends a run and leaves t
-// as it is. Tallies pass by value so a run's sums stay in registers.
+// runTally sums a run of instructions: the cycles they take to issue back
+// to back, and in kinds how many of each kind they hold, 16 bits per kind
+// at the shifts below; every load of a batch is a DL1 hit. Two words keep
+// a tally in registers through the batch loop. add is the single source
+// of the opcode→latency and opcode→counter mappings, used both when a
+// batch is issued and when a mid-flight batch is split at a read point.
+type runTally struct {
+	cycles, kinds uint64
+}
+
+const (
+	nopKind    = 0
+	aluKind    = 16
+	branchKind = 32
+	loadKind   = 48
+	// maxBatch bounds a batch's length so no packed count overflows.
+	maxBatch = 1<<16 - 1
+)
+
+// count returns the tallied number of instructions of one kind.
+func (t runTally) count(kind uint) uint64 { return t.kinds >> kind & 0xffff }
+
+// add returns t with in tallied, a load as a DL1 hit, and reports whether
+// in can be part of a batch at all; a store cannot, and leaves t as it
+// is.
 func (c *Core) add(t runTally, in isa.Instr) (runTally, bool) {
 	switch in.Op {
+	case isa.OpIALU:
+		lat := uint64(c.cfg.IntLatency)
+		if in.Lat > 0 {
+			lat = uint64(in.Lat)
+		}
+		t.cycles += lat
+		t.kinds += 1 << aluKind
+	case isa.OpLoad:
+		t.cycles += uint64(c.cfg.DL1Latency)
+		t.kinds += 1 << loadKind
 	case isa.OpNop:
 		t.cycles += uint64(c.cfg.NopLatency)
-		t.nops++
-	case isa.OpIALU:
-		if in.Lat > 0 {
-			t.cycles += uint64(in.Lat)
-		} else {
-			t.cycles += uint64(c.cfg.IntLatency)
-		}
-		t.alus++
+		t.kinds += 1 << nopKind
 	case isa.OpBranch:
 		t.cycles += uint64(c.cfg.BranchLatency)
-		t.branches++
+		t.kinds += 1 << branchKind
 	default:
 		return t, false
 	}
 	return t, true
 }
 
-// commit adds d times the tallied op counts to ctr, leaving Instrs to
-// the caller.
+// commit adds d times the tallied instructions to ctr.
 func (t runTally) commit(ctr *Counters, d uint64) {
-	ctr.Nops += t.nops * d
-	ctr.ALUs += t.alus * d
-	ctr.Branches += t.branches * d
+	nops, alus, branches, loads := t.count(nopKind), t.count(aluKind), t.count(branchKind), t.count(loadKind)
+	ctr.Instrs += (nops + alus + branches + loads) * d
+	ctr.Loads += loads * d
+	ctr.Nops += nops * d
+	ctr.ALUs += alus * d
+	ctr.Branches += branches * d
 }
 
-// batchTail adds d to the op counter and Instrs of every instruction of
-// the in-flight batch that issues at or after cycle from: d = 1
-// re-credits them to a new window, d = ^uint64(0) (minus one) takes back
-// those a reader must not see yet. It re-walks the batch from batchPC and
-// batchStart, at most one fetch line of instructions: those issuing
-// before from go to head, whose cycles give the next one's issue cycle,
-// and the rest to tail.
-func (c *Core) batchTail(ctr *Counters, from, d uint64) {
-	var head, tail runTally
-	for _, in := range c.seq()[c.batchPC:c.pc] {
-		if c.batchStart+head.cycles < from {
-			head, _ = c.add(head, in)
-		} else {
-			tail, _ = c.add(tail, in)
-		}
+// tail is the share of the in-flight batch that issues after the read
+// point now (see batchTail).
+func (c *Core) tail() (runTally, uint64) {
+	if c.now >= c.batchEnd {
+		return runTally{}, 0
 	}
-	tail.commit(ctr, d)
-	ctr.Instrs += (tail.nops + tail.alus + tail.branches) * d
+	return c.batchTail(c.now + 1)
+}
+
+// batchTail tallies the instructions of the in-flight batch that issue at
+// or after cycle from, and counts the new lines they fetch (each an IL1
+// hit). It re-walks the batch from batchPC and batchStart: the
+// instructions issuing before from give the next one's issue cycle, and
+// the rest form the tail. The batch's first instruction issues at
+// batchStart, which no read point or window boundary follows, so its own
+// fetch never falls in a tail.
+func (c *Core) batchTail(from uint64) (tail runTally, lines uint64) {
+	run := c.seq()[c.batchPC:c.pc]
+	var head runTally
+	i := 0
+	for ; i < len(run) && c.batchStart+head.cycles < from; i++ {
+		head, _ = c.add(head, run[i])
+	}
+	if i == len(run) {
+		return runTally{}, 0
+	}
+	for _, in := range run[i:] {
+		tail, _ = c.add(tail, in)
+	}
+	// Instructions are laid out back to back, so the tail fetches one line
+	// per line boundary between the instruction before it and its last.
+	before := c.prog.InstrAddr(c.inSetup, c.batchPC+max(i, 1)-1) & c.lineMask
+	last := c.prog.InstrAddr(c.inSetup, c.pc-1) & c.lineMask
+	return tail, (last - before) / (^c.lineMask + 1)
 }
 
 // StoreBuffer exposes the core's store buffer (read-mostly; tests and PMC
 // collection use it).
 func (c *Core) StoreBuffer() *StoreBuffer { return c.sb }
 
-// ResetCounters zeroes the activity counters as of the given cycle
-// (excluding Iters progress tracking would break measurement; Iters is
-// preserved so the harness can count iterations across the reset; callers
-// should snapshot and subtract).
+// ResetCounters zeroes the activity counters and the DL1 and IL1
+// statistics as of the given cycle (excluding Iters progress tracking
+// would break measurement; Iters is preserved so the harness can count
+// iterations across the reset; callers should snapshot and subtract).
 //
-// An instruction batch commits its whole run's op counts and Instrs at
-// batch start, so if the reset lands mid-batch the instructions that
+// An instruction batch commits its instructions and takes their L1 hits
+// at batch start, so if the reset lands mid-batch the instructions that
 // serially would issue at or after the reset cycle are re-credited to
-// the new window — keeping the counters bit-identical to
+// the new window, and their L1 hits are held for Resume to count —
+// keeping counters and statistics bit-identical to
 // one-instruction-per-Tick execution.
 func (c *Core) ResetCounters(cycle uint64) {
 	iters := c.ctr.Iters
 	c.ctr = Counters{Iters: iters}
+	c.cfg.DL1.ResetStats()
+	c.cfg.IL1.ResetStats()
+	c.heldLoads, c.heldLines = 0, 0
 	if cycle < c.batchEnd {
-		c.batchTail(&c.ctr, cycle, 1)
+		t, lines := c.batchTail(cycle)
+		t.commit(&c.ctr, 1)
+		c.heldLoads, c.heldLines = t.count(loadKind), lines
 	}
 	c.sb.Pushes, c.sb.FullStalls, c.sb.Drains = 0, 0, 0
 	// A reset landing inside an open stall span discards the uncharged
@@ -323,17 +386,18 @@ func (c *Core) ResetCounters(cycle uint64) {
 	}
 }
 
-// SetNopBatching toggles instruction-run batching and the deferred-issue
-// shortcut together (both enabled by default): runs of non-memory
-// instructions (nops, IALUs of any latency, branches) on one fetch line
-// execute as one batched step, and miss requests whose issue step is
-// fully determined are registered at the bus ahead of time
-// (Port.SubmitAt).
+// SetNopBatching toggles instruction batching and the deferred-issue
+// shortcut together (both enabled by default): every instruction up to
+// the next store, the next DL1 or IL1 miss or the sequence's last
+// instruction executes as one batched step (see execRun), and miss
+// requests whose issue step is fully determined are registered at the bus
+// ahead of time (Port.SubmitAt).
 // Disabling both restores strict one-instruction-per-Tick execution with
 // every submission performed at its issue step; externally observable
 // behavior (bus traffic and its Ready cycles, iteration boundaries,
-// counters at those boundaries) is identical either way — the reference
-// mode is the oracle the shortcuts' equivalence tests diff against.
+// counters and L1 statistics read through Counters and Observe, or after
+// SyncNow) is identical either way — the reference mode is the oracle the
+// shortcuts' equivalence tests diff against.
 func (c *Core) SetNopBatching(enabled bool) { c.noBatch = !enabled }
 
 // Idle reports whether the core has no in-flight activity: used by the
@@ -357,6 +421,12 @@ func (c *Core) curAddr() uint64 {
 
 func (c *Core) advance() {
 	c.ctr.Instrs++
+	c.next()
+}
+
+// next moves pc past the instruction at pc: from setup's last
+// instruction to the body, and from the body's last to a new iteration.
+func (c *Core) next() {
 	c.pc++
 	if c.inSetup {
 		if c.pc >= len(c.prog.Setup) {
@@ -375,8 +445,11 @@ func (c *Core) advance() {
 	}
 }
 
-// Tick advances the core at cycle. The owning system calls it once per
-// cycle, after bus completions have been dispatched.
+// Tick advances the core at cycle. The owning system calls it at every
+// cycle the core is due (NextEvent) or a completion reached it, after bus
+// completions have been dispatched; the Oracle calls it every cycle. A
+// Tick that starts an instruction batch issues the whole batch, so the
+// core is next due when the batch's last instruction has issued.
 func (c *Core) Tick(cycle uint64) {
 	c.now = cycle
 	for {
@@ -510,11 +583,13 @@ func (c *Core) settleStall(cycle uint64) {
 }
 
 // SyncNow advances the core's observation point to cycle without
-// executing anything: the batch-split read point (now) moves forward and
-// any open stall span is charged through cycle, exactly as a
-// cycle-by-cycle run ticking the core at every skipped cycle would have
-// done. The event-driven scheduler calls it when a run stops, so counter
-// readers observe bit-identical values in either execution mode.
+// executing anything: the batch-split read point (now) moves forward, any
+// open stall span is charged through cycle, exactly as a cycle-by-cycle
+// run ticking the core at every skipped cycle would have done, and the L1
+// hits of the in-flight batch that issue after the read point are taken
+// out of the DL1 and IL1 statistics until Resume. The simulator calls it
+// when a run stops, so counter and cache-statistics readers observe
+// bit-identical values in every execution mode.
 func (c *Core) SyncNow(cycle uint64) {
 	if cycle > c.now {
 		c.now = cycle
@@ -530,6 +605,20 @@ func (c *Core) SyncNow(cycle uint64) {
 		}
 		c.stallFrom = cycle + 1
 	}
+	c.Resume()
+	t, lines := c.tail()
+	c.heldLoads, c.heldLines = t.count(loadKind), lines
+	c.cfg.DL1.AddStats(cache.Stats{ReadHits: c.heldLoads}, ^uint64(0))
+	c.cfg.IL1.AddStats(cache.Stats{ReadHits: c.heldLines}, ^uint64(0))
+}
+
+// Resume puts the L1 hits SyncNow or ResetCounters held back into the
+// DL1 and IL1 statistics. The simulator calls it when a run starts: from
+// then on the caches count every batch's hits when the batch issues.
+func (c *Core) Resume() {
+	c.cfg.DL1.AddStats(cache.Stats{ReadHits: c.heldLoads}, 1)
+	c.cfg.IL1.AddStats(cache.Stats{ReadHits: c.heldLines}, 1)
+	c.heldLoads, c.heldLines = 0, 0
 }
 
 // step starts the instruction at pc in cycle. It returns true when the core
@@ -565,14 +654,13 @@ func (c *Core) step(cycle uint64) bool {
 	case isa.OpNop, isa.OpIALU, isa.OpBranch:
 		c.execRun(cycle, addr)
 	case isa.OpLoad:
-		c.ctr.Loads++
-		res := c.cfg.DL1.Access(in.Addr, false, c.cfg.ID)
-		c.nextFree = cycle + uint64(c.cfg.DL1Latency)
-		if res.Hit {
-			c.advance()
+		if c.cfg.DL1.Access(in.Addr, false, c.cfg.ID).Hit {
+			c.execRun(cycle, addr)
 		} else {
 			// Miss known after the DL1 lookup; the bus request
 			// becomes ready at nextFree.
+			c.ctr.Loads++
+			c.nextFree = cycle + uint64(c.cfg.DL1Latency)
 			c.pendingAddr = c.cfg.DL1.LineAddr(in.Addr)
 			if !c.noBatch && c.port.Free() {
 				// The issue step at nextFree is fully determined: the
@@ -605,50 +693,77 @@ func (c *Core) step(cycle uint64) bool {
 	return true
 }
 
-// execRun executes the run of non-memory instructions (nops, IALUs of
-// any latency, branches) that starts at pc, fetched from addr, as one
-// batched step. Those instructions cannot miss IL1 or touch the bus as
-// long as the run stays on the current fetch line, and the run never
-// takes the sequence's last instruction (so the scalar path keeps
-// handling setup→body and iteration boundaries), which makes the batch
-// cycle-exact: the next instruction starts at the same cycle as under
-// one-instruction-per-Tick execution. nextFree advances by the sum of
-// the run's latencies, its op counters and Instrs are pre-committed, pc
-// jumps over it, and batchPC/batchStart/batchEnd let the counter readers
-// split a mid-flight batch exactly. Batching is what lets the event
-// engine skip across compute: a core chewing nops or ALU work one Tick at
-// a time would pin the platform clock to its issue cycles. A
-// single-instruction run degenerates to the historical scalar path
-// (advance handles setup/body transitions and iteration boundaries).
+// execRun issues the instruction at pc, fetched from addr, together with
+// every following instruction that only touches the core's private state,
+// as one batched step: it runs up to, not including, the next store, the
+// next instruction whose fetch misses IL1, the next load that misses DL1,
+// or the sequence's last instruction. step has already looked up the
+// first instruction's line and, for a load, its data, and both hit. On
+// the way the batch takes each new fetch line's IL1 hit (0 cycles, as in
+// step) and each load's DL1 hit (DL1Latency cycles) in program order;
+// no other agent touches the core's L1s, so their replacement state ends
+// as under one-instruction-per-Tick execution. Everything the batch
+// stops before stays live: a store's buffer push decides when drains can
+// take the port, a miss's submission depends on the port at its issue
+// cycle, and the last instruction ends setup or the iteration (the
+// steady-state detector's observation point). That makes the batch
+// cycle-exact: the stopping instruction starts at the batch's nextFree,
+// the cycle it starts at under one-instruction-per-Tick execution.
+//
+// The batch's instructions and L1 hits are committed at once, pc jumps
+// over it, and batchPC/batchStart/batchEnd let the readers split a
+// mid-flight batch exactly (batchTail). Batching is what lets the event
+// engine skip across compute: a core chewing through work one Tick at a
+// time would pin the platform clock to its issue cycles. With batching
+// off, or when the first instruction is the last of its sequence, the
+// batch is that one instruction.
 func (c *Core) execRun(cycle, addr uint64) {
-	run := c.seq()[c.pc:]
-	limit := 1
+	seq := c.seq()
+	t, _ := c.add(runTally{}, seq[c.pc])
+	n := 1
 	if !c.noBatch {
-		lineBytes := ^c.lineMask + 1
-		left := int((c.fetchLine + lineBytes - addr) / isa.InstrBytes)
-		limit = max(1, min(left, len(run)-1))
-	}
-	// step dispatches here on a non-memory opcode, so n ends >= 1.
-	var t runTally
-	n := 0
-	for _, in := range run[:limit] {
-		var ok bool
-		if t, ok = c.add(t, in); !ok {
-			break
+		lineOff := ^c.lineMask
+		end := max(c.pc+1, min(len(seq)-1, c.pc+maxBatch))
+		for _, in := range seq[c.pc+1 : end] {
+			// A store or an unknown opcode ends the batch (add refuses
+			// it) before anything is touched; an instruction opening a
+			// new line or loading must find its L1 accesses hits.
+			next := addr + isa.InstrBytes
+			fetch := next&lineOff == 0
+			u, ok := c.add(t, in)
+			if !ok || (fetch || in.Op == isa.OpLoad) && !c.takeHits(in, next, fetch) {
+				break
+			}
+			t = u
+			addr = next
+			n++
 		}
-		n++
+		c.fetchLine = addr & c.lineMask
 	}
 	t.commit(&c.ctr, 1)
 	c.nextFree = cycle + t.cycles
-	if n == 1 {
-		c.advance()
-		return
+	if n > 1 {
+		c.batchPC = c.pc
+		c.batchStart = cycle
+		c.batchEnd = c.nextFree
 	}
-	c.ctr.Instrs += uint64(n)
-	c.batchPC = c.pc
-	c.batchStart = cycle
-	c.batchEnd = c.nextFree
-	c.pc += n
+	c.pc += n - 1
+	c.next()
+}
+
+// takeHits takes the L1 accesses of in, a load or an instruction opening
+// a new line at addr (fetch), ahead of its issue cycle when they all hit,
+// and reports whether it did. On a miss nothing is touched, so the live
+// step that issues in repeats the lookup that missed. A load's line is
+// probed before its data is read, so an IL1 miss leaves DL1 as it was.
+func (c *Core) takeHits(in isa.Instr, addr uint64, fetch bool) bool {
+	if in.Op != isa.OpLoad {
+		return c.cfg.IL1.TryRead(addr)
+	}
+	if fetch && !c.cfg.IL1.Contains(addr) || !c.cfg.DL1.TryRead(in.Addr) {
+		return false
+	}
+	return !fetch || c.cfg.IL1.TryRead(addr)
 }
 
 // tryDrain submits the store buffer head to the bus when the port is free

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"rrbus/internal/bus"
@@ -608,10 +609,26 @@ func mixedProgram() *isa.Program {
 	}
 }
 
+// sameReadings fails t unless both cores read the same counters and L1
+// statistics.
+func sameReadings(t *testing.T, at string, bat, ref *Core) {
+	t.Helper()
+	if b, r := bat.Counters(), ref.Counters(); b != r {
+		t.Fatalf("%s: batched counters %+v, reference %+v", at, b, r)
+	}
+	if b, r := bat.DL1().Stats(), ref.DL1().Stats(); b != r {
+		t.Fatalf("%s: batched DL1 %+v, reference %+v", at, b, r)
+	}
+	if b, r := bat.IL1().Stats(), ref.IL1().Stats(); b != r {
+		t.Fatalf("%s: batched IL1 %+v, reference %+v", at, b, r)
+	}
+}
+
 // TestMixedBatchCountersMatchReference runs the mixed program batched and
-// one instruction per Tick and compares the counters at every cycle: a
-// batch pre-commits every opcode it holds, and Counters must take back
-// exactly the instructions that serially would issue after the read point.
+// one instruction per Tick and compares the counters and L1 statistics at
+// every cycle: a batch pre-commits every instruction it holds and takes
+// its L1 hits at once, and Counters and SyncNow must take back exactly
+// those that serially would issue after the read point.
 func TestMixedBatchCountersMatchReference(t *testing.T) {
 	prog := mixedProgram()
 	bat := newDrivenCore(t, prog, 6, true)
@@ -620,9 +637,7 @@ func TestMixedBatchCountersMatchReference(t *testing.T) {
 	for ; cyc < 5000 && !(bat.c.Done() && ref.c.Done()); cyc++ {
 		bat.step(cyc)
 		ref.step(cyc)
-		if b, r := bat.c.Counters(), ref.c.Counters(); b != r {
-			t.Fatalf("cycle %d: batched counters %+v, reference %+v", cyc, b, r)
-		}
+		sameReadings(t, fmt.Sprintf("cycle %d", cyc), bat.c, ref.c)
 		if bat.c.Done() != ref.c.Done() {
 			t.Fatalf("cycle %d: batched done=%v, reference done=%v", cyc, bat.c.Done(), ref.c.Done())
 		}
@@ -657,12 +672,89 @@ func TestMixedBatchResetAtEveryOffset(t *testing.T) {
 		for cyc := reset; cyc < reset+120; cyc++ {
 			bat.step(cyc)
 			ref.step(cyc)
-			if b, r := bat.c.Counters(), ref.c.Counters(); b != r {
-				t.Fatalf("reset at %d, cycle %d: batched counters %+v, reference %+v", reset, cyc, b, r)
-			}
+			sameReadings(t, fmt.Sprintf("reset at %d, cycle %d", reset, cyc), bat.c, ref.c)
 		}
 	}
 	if midBatch < 50 {
 		t.Fatalf("only %d resets landed inside a batch", midBatch)
+	}
+}
+
+// TestBatchStops pins where the batch one Tick issues ends, on hand-built
+// programs whose first lines sit warm in IL1 and whose hit address sits
+// warm in DL1: before a store, a DL1-missing load, the first instruction
+// of an IL1-missing line (a load there included, which must leave DL1
+// untouched) and the sequence's last instruction, after crossing IL1-hit
+// lines and DL1-hit loads on the way. A reference core ticked every cycle
+// with batching off gives the cycle the stopping instruction issues at,
+// which must be the batch's nextFree, and the counters and L1 statistics
+// of every instruction before it.
+func TestBatchStops(t *testing.T) {
+	const hit, hit2, miss = 0x40, 0x84, 0x2000
+	alu, alu3, nop, br := isa.IALU(0), isa.IALU(3), isa.Nop(), isa.Branch()
+	ld := isa.Load
+	cases := []struct {
+		name  string
+		body  []isa.Instr
+		lines int // lines of the body warm in IL1 (eight instructions each)
+		stop  int // index of the instruction the batch stops before
+	}{
+		{"store", []isa.Instr{alu3, ld(hit), nop, alu, isa.Store(hit), nop, br}, 1, 4},
+		{"DL1 miss", []isa.Instr{alu, ld(hit), nop, ld(miss), alu3, br}, 1, 3},
+		{"IL1 miss", []isa.Instr{
+			alu, alu3, nop, alu, ld(hit), alu, alu, nop,
+			alu3, alu, nop, ld(hit2), alu, alu, nop, alu,
+			alu, alu, br}, 2, 16},
+		{"load on an IL1-missing line", []isa.Instr{
+			alu, alu3, nop, alu, alu, alu, alu, nop,
+			ld(hit), alu, br}, 1, 8},
+		{"last instruction", []isa.Instr{
+			nop, alu3, nop, nop, alu, nop, nop, nop,
+			ld(hit), alu, ld(hit2), nop, br}, 2, 12},
+		{"across lines and loads", []isa.Instr{
+			alu, alu3, ld(hit), nop, nop, alu, alu3, nop,
+			ld(hit2), alu, alu, alu3, nop, nop, alu, nop,
+			alu, ld(hit), ld(hit2), nop, alu3, alu, isa.Store(hit2), alu,
+			br}, 3, 22},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := &isa.Program{Name: tc.name, CodeBase: 0x1000, Body: tc.body}
+			core := func(batching bool) *Core {
+				c, _ := newTestCore(t, prog, 0, 2)
+				for l := 0; l < tc.lines; l++ {
+					c.cfg.IL1.Access(prog.CodeBase+uint64(l)*32, false, 0)
+				}
+				c.cfg.DL1.Access(hit, false, 0)
+				c.cfg.DL1.Access(hit2, false, 0)
+				c.cfg.IL1.ResetStats()
+				c.cfg.DL1.ResetStats()
+				c.SetNopBatching(batching)
+				return c
+			}
+			bat, ref := core(true), core(false)
+			bat.Tick(0)
+			for cyc := uint64(0); ref.pc != tc.stop; cyc++ {
+				if cyc > 1000 {
+					t.Fatalf("reference never reached instruction %d", tc.stop)
+				}
+				ref.Tick(cyc)
+			}
+			if bat.pc != tc.stop {
+				t.Fatalf("batch stopped before instruction %d, want %d", bat.pc, tc.stop)
+			}
+			if bat.st != sRun || bat.nextFree != ref.nextFree {
+				t.Fatalf("batch next issues at %d (state %d), reference at %d", bat.nextFree, bat.st, ref.nextFree)
+			}
+			if bat.ctr != ref.ctr {
+				t.Errorf("batch committed %+v, reference %+v", bat.ctr, ref.ctr)
+			}
+			if b, r := bat.cfg.DL1.Stats(), ref.cfg.DL1.Stats(); b != r {
+				t.Errorf("DL1 stats %+v, reference %+v", b, r)
+			}
+			if b, r := bat.cfg.IL1.Stats(), ref.cfg.IL1.Stats(); b != r {
+				t.Errorf("IL1 stats %+v, reference %+v", b, r)
+			}
+		})
 	}
 }

@@ -46,10 +46,14 @@ func (c *Core) AppendState(buf []uint64, now uint64) []uint64 {
 		buf = append(buf, 0)
 	}
 	if c.now < c.batchEnd {
-		// The read point and the batch's start pc and cycle fix the
-		// counter split (batchTail); batchEnd is nextFree, emitted above.
-		// The leading 1 keeps the stream self-delimiting: a read point of
-		// 0 must not read as the stale case's single 0.
+		// The read point and the batch's start pc and cycle fix how the
+		// batch splits (batchTail): its instructions and the L1 hits they
+		// took are [batchPC, pc) of the program, and batchEnd is nextFree,
+		// emitted above. (The hits SyncNow holds out of the caches'
+		// statistics are zero while a run executes, where the detector
+		// reads this stream.) The leading 1 keeps the stream
+		// self-delimiting: a read point of 0 must not read as the stale
+		// case's single 0.
 		buf = append(buf, 1, now-c.now, now-c.batchStart, uint64(c.batchPC))
 	} else {
 		// The batch markers and the read point are stale: Counters reads

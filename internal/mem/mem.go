@@ -148,9 +148,12 @@ type bank struct {
 // Controller is the memory controller front-end plus the DRAM bank model.
 // Like the rest of the simulator it is single-goroutine and deterministic.
 type Controller struct {
-	cfg      Config
-	banks    []bank
+	cfg   Config
+	banks []bank
+	// queue[qhead:] holds the queued transactions in arrival order
+	// (pending); remove keeps issuing from a deep backlog O(1).
 	queue    []*Txn
+	qhead    int
 	inflight []*Txn
 	ready    []*Txn
 	free     []*Txn
@@ -235,24 +238,50 @@ func (c *Controller) Recycle(t *Txn) {
 // the paper's architecture applies backpressure through the bus instead, so
 // the simulator uses an unbounded queue by default.
 func (c *Controller) Push(t *Txn, cycle uint64) bool {
-	if c.cfg.QueueDepth > 0 && len(c.queue) >= c.cfg.QueueDepth {
+	n := c.QueueLen()
+	if c.cfg.QueueDepth > 0 && n >= c.cfg.QueueDepth {
 		c.stats.Rejected++
 		return false
 	}
 	t.Arrive = cycle
 	c.queue = append(c.queue, t)
-	if len(c.queue) > c.stats.MaxQueue {
-		c.stats.MaxQueue = len(c.queue)
+	if n+1 > c.stats.MaxQueue {
+		c.stats.MaxQueue = n + 1
 	}
 	return true
 }
 
+// pending returns the queued (not yet issued) transactions, oldest first.
+func (c *Controller) pending() []*Txn { return c.queue[c.qhead:] }
+
+// remove drops the i-th queued transaction (an index into pending). The
+// head only advances qhead; the slice is compacted to the front once the
+// dead prefix is longer than the live rest, so every transaction is
+// copied O(1) times on average however deep the backlog grows.
+func (c *Controller) remove(i int) {
+	if i > 0 {
+		q := c.pending()
+		copy(q[i:], q[i+1:])
+		q[len(q)-1] = nil
+		c.queue = c.queue[:len(c.queue)-1]
+		return
+	}
+	c.queue[c.qhead] = nil
+	c.qhead++
+	if c.qhead > len(c.queue)/2 {
+		n := copy(c.queue, c.queue[c.qhead:])
+		clear(c.queue[n:])
+		c.queue = c.queue[:n]
+		c.qhead = 0
+	}
+}
+
 // QueueLen returns the number of queued (not yet issued) transactions.
-func (c *Controller) QueueLen() int { return len(c.queue) }
+func (c *Controller) QueueLen() int { return len(c.queue) - c.qhead }
 
 // Busy reports whether any transaction is queued or in flight.
 func (c *Controller) Busy() bool {
-	return len(c.queue) > 0 || len(c.inflight) > 0 || len(c.ready) > 0
+	return c.QueueLen() > 0 || len(c.inflight) > 0 || len(c.ready) > 0
 }
 
 // Tick advances the controller: completes in-flight transactions and issues
@@ -279,25 +308,26 @@ func (c *Controller) Tick(cycle uint64) {
 		}
 		c.inflight = keep
 	}
-	if len(c.queue) == 0 || c.chanFree > cycle {
+	if c.QueueLen() == 0 || c.chanFree > cycle {
 		return
 	}
 	idx := c.pick(cycle)
 	if idx < 0 {
 		return
 	}
-	t := c.queue[idx]
-	c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
+	t := c.pending()[idx]
+	c.remove(idx)
 	c.issue(t, cycle)
 }
 
-// pick returns the index of the transaction to issue, or -1.
+// pick returns the index into pending of the transaction to issue, or -1.
 func (c *Controller) pick(cycle uint64) int {
+	q := c.pending()
 	switch c.cfg.Sched {
 	case FRFCFS:
 		// First ready row hit, else oldest issuable.
 		oldest := -1
-		for i, t := range c.queue {
+		for i, t := range q {
 			b := &c.banks[c.Bank(t.Addr)]
 			if b.freeAt > cycle {
 				continue
@@ -311,7 +341,7 @@ func (c *Controller) pick(cycle uint64) int {
 		}
 		return oldest
 	default: // FIFO: strictly in order; block if the head's bank is busy.
-		if c.banks[c.Bank(c.queue[0].Addr)].freeAt > cycle {
+		if c.banks[c.Bank(q[0].Addr)].freeAt > cycle {
 			return -1
 		}
 		return 0
@@ -374,7 +404,7 @@ func (c *Controller) NextEvent(cycle uint64) uint64 {
 			next = t.DataAt
 		}
 	}
-	if len(c.queue) > 0 {
+	if c.QueueLen() > 0 {
 		// Earliest possible issue: the channel must be free. Bank busy
 		// states beyond chanFree (close-page precharge) degrade to a
 		// cycle-by-cycle crawl, which is conservative and exact.

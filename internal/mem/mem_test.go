@@ -200,6 +200,71 @@ func TestBoundedQueue(t *testing.T) {
 	}
 }
 
+// TestDeepFIFOBacklogIssuesInOrder queues 100,000 transactions at once,
+// as background L2 traffic without backpressure can, and requires the
+// controller to issue them in arrival order with the same timing and
+// statistics as a run that pushes each one only when the previous one
+// has issued, so the queue never holds more than one. Popping the head
+// must not cost the backlog's length: that made such runs quadratic.
+func TestDeepFIFOBacklogIssuesInOrder(t *testing.T) {
+	const n = 100_000
+	addr := func(i int) uint64 { return uint64(i*7919%4096) * 32 }
+	write := func(i int) bool { return i%3 == 0 }
+	run := func(backlog bool) (starts []uint64, st Stats) {
+		c := MustNew(testCfg())
+		txns := make([]*Txn, n)
+		for i := range txns {
+			txns[i] = &Txn{Addr: addr(i), Write: write(i)}
+		}
+		pushed := 0
+		if backlog {
+			for _, tx := range txns {
+				c.Push(tx, 0)
+			}
+			pushed = n
+		}
+		for cycle := uint64(0); ; {
+			if pushed < n && c.QueueLen() == 0 {
+				c.Push(txns[pushed], cycle)
+				pushed++
+			}
+			c.Tick(cycle)
+			for c.PopReady() != nil {
+			}
+			if pushed == n && !c.Busy() {
+				break
+			}
+			cycle = c.NextEvent(cycle + 1)
+		}
+		for _, tx := range txns {
+			starts = append(starts, tx.Start)
+		}
+		return starts, c.Stats()
+	}
+	deep, deepStats := run(true)
+	shallow, shallowStats := run(false)
+	for i := 1; i < n; i++ {
+		if deep[i] <= deep[i-1] {
+			t.Fatalf("txn %d issued at %d, not after txn %d at %d", i, deep[i], i-1, deep[i-1])
+		}
+	}
+	for i := range deep {
+		if deep[i] != shallow[i] {
+			t.Fatalf("txn %d issued at %d from the backlog, %d one at a time", i, deep[i], shallow[i])
+		}
+	}
+	if deepStats.MaxQueue != n || shallowStats.MaxQueue != 1 {
+		t.Fatalf("MaxQueue %d and %d, want %d and 1", deepStats.MaxQueue, shallowStats.MaxQueue, n)
+	}
+	deepStats.MaxQueue, shallowStats.MaxQueue = 0, 0
+	if deepStats != shallowStats {
+		t.Fatalf("stats differ:\nbacklog:    %+v\none by one: %+v", deepStats, shallowStats)
+	}
+	if deepStats.Reads+deepStats.Writes != n {
+		t.Fatalf("%d reads and %d writes retired, want %d in all", deepStats.Reads, deepStats.Writes, n)
+	}
+}
+
 func TestBusyAndQueueLen(t *testing.T) {
 	c := MustNew(testCfg())
 	if c.Busy() {

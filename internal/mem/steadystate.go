@@ -33,8 +33,9 @@ func (c *Controller) AppendState(buf []uint64, now uint64) []uint64 {
 		b := &c.banks[i]
 		buf = append(buf, uint64(b.openRow), ahead(b.freeAt, now))
 	}
-	buf = append(buf, ahead(c.chanFree, now), uint64(len(c.queue)))
-	for _, t := range c.queue {
+	q := c.pending()
+	buf = append(buf, ahead(c.chanFree, now), uint64(len(q)))
+	for _, t := range q {
 		buf = appendTxn(buf, t, now)
 	}
 	buf = append(buf, uint64(len(c.inflight)))
@@ -66,7 +67,7 @@ func (c *Controller) ShiftTime(d uint64) {
 		c.banks[i].freeAt += d
 	}
 	c.chanFree += d
-	for _, t := range c.queue {
+	for _, t := range c.pending() {
 		t.Arrive += d
 		t.Start += d
 		t.DataAt += d

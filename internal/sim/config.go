@@ -100,6 +100,12 @@ func (c Config) Validate() error {
 	if err := c.L2.Validate(); err != nil {
 		return fmt.Errorf("sim: L2: %w", err)
 	}
+	// The cores drain every store through the store buffer and never
+	// write a dirty L1 line back, so a write-back L1 would lose its
+	// evictions.
+	if c.IL1.Write != cache.WriteThrough || c.DL1.Write != cache.WriteThrough {
+		return fmt.Errorf("sim: L1 caches must be write-through (IL1 %s, DL1 %s)", c.IL1.Write, c.DL1.Write)
+	}
 	if c.IL1.LineBytes != c.DL1.LineBytes || c.DL1.LineBytes != c.L2.LineBytes {
 		return fmt.Errorf("sim: mixed line sizes IL1=%d DL1=%d L2=%d", c.IL1.LineBytes, c.DL1.LineBytes, c.L2.LineBytes)
 	}
@@ -117,6 +123,11 @@ func (c Config) Validate() error {
 	}
 	if c.Mem.LineBytes != c.L2.LineBytes {
 		return fmt.Errorf("sim: memory line %d != L2 line %d", c.Mem.LineBytes, c.L2.LineBytes)
+	}
+	// The platform has no path to retry a rejected transaction: a dropped
+	// demand read would leave its core waiting forever.
+	if c.Mem.QueueDepth > 0 {
+		return fmt.Errorf("sim: bounded memory queue (depth %d) is not modeled; use 0 (unbounded)", c.Mem.QueueDepth)
 	}
 	switch c.Arbiter {
 	case ArbiterRR, ArbiterTDMA, ArbiterFP, ArbiterLottery, "":

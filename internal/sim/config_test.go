@@ -88,6 +88,9 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"sb", func(c *Config) { c.StoreBufferDepth = 0 }, "store buffer"},
 		{"mem", func(c *Config) { c.Mem.Banks = 3 }, "power of two"},
 		{"mem line", func(c *Config) { c.Mem.LineBytes = 64 }, "memory line"},
+		{"write-back dl1", func(c *Config) { c.DL1.Write = cache.WriteBack }, "L1 caches must be write-through (IL1 write-through, DL1 write-back)"},
+		{"write-back il1", func(c *Config) { c.IL1.Write = cache.WriteBack }, "L1 caches must be write-through (IL1 write-back"},
+		{"bounded mem queue", func(c *Config) { c.Mem.QueueDepth = 4 }, "bounded memory queue (depth 4) is not modeled"},
 		{"arbiter", func(c *Config) { c.Arbiter = "bogus" }, "unknown arbiter"},
 		{"tdma slot", func(c *Config) { c.TDMASlot = -1 }, "TDMA"},
 		// The platform of mix seed 2's mix/055/tdma (count 64), which

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"rrbus/internal/bus"
+	"rrbus/internal/cache"
+	"rrbus/internal/cpu"
 	"rrbus/internal/isa"
 	"rrbus/internal/kernel"
 	"rrbus/internal/workload"
@@ -129,16 +131,25 @@ func TestFastForwardMeasurementEquivalence(t *testing.T) {
 	}
 }
 
+// coreReading is what a harness can read of one core between runs.
+type coreReading struct {
+	Ctr      cpu.Counters
+	DL1, IL1 cache.Stats
+}
+
 func TestFastForwardContenderCountersAcrossReset(t *testing.T) {
 	t.Parallel()
-	// Per-core counters of every core — not just the scua — must match
-	// the scalar run even when ResetStats lands in the middle of a
-	// contender's instruction batch: the batch pre-commits its op counts
-	// and Instrs, and ResetCounters re-credits the post-reset remainder.
-	// rsk-nop contenders batch uniform nop runs; EEMBC-like contenders
-	// batch runs that mix nops and IALUs of different latencies.
+	// Every core's counters and L1 statistics — not just the scua's — must
+	// match the scalar run after every RunUntil, even when a run stops or
+	// ResetStats lands in the middle of a contender's instruction batch:
+	// the batch pre-commits its instructions and takes its DL1 and IL1
+	// hits at batch start, SyncNow takes back the share issuing after the
+	// stop, and ResetCounters re-credits the post-reset remainder.
+	// rsk-nop contenders batch uniform nop runs across fetch lines;
+	// EEMBC-like contenders batch runs that mix DL1-hit loads with IALUs of
+	// different latencies.
 	cfg := NGMPRef()
-	run := func(e Engine, eembc []string) []int64 {
+	run := func(e Engine, eembc []string) []coreReading {
 		b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
 		b.Unroll = 2
 		progs := make([]*isa.Program, cfg.Cores)
@@ -160,33 +171,98 @@ func TestFastForwardContenderCountersAcrossReset(t *testing.T) {
 			}
 			progs[c] = p
 		}
-		iters[0] = 40
+		iters[0] = 160
 		sys, err := NewSystem(cfg, progs, iters)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sys.setEngine(e)
-		// Sweep the reset across many cycle offsets so some land inside
-		// a contender's batch.
-		var counts []int64
-		for _, stopIters := range []uint64{3, 5, 8, 13, 21} {
-			sys.RunUntil(func() bool { return sys.Core(0).Iters() >= stopIters }, 1<<22)
-			sys.ResetStats()
-			sys.RunUntil(func() bool { return sys.Core(0).Iters() >= stopIters+2 }, 1<<22)
+		var readings []coreReading
+		read := func() {
 			for c := 0; c < cfg.Cores; c++ {
-				ctr := sys.Core(c).Counters()
-				counts = append(counts, int64(ctr.Instrs), int64(ctr.Nops), int64(ctr.Loads),
-					int64(ctr.ALUs), int64(ctr.Branches))
+				core := sys.Core(c)
+				readings = append(readings, coreReading{core.Counters(), core.DL1().Stats(), core.IL1().Stats()})
 			}
 		}
-		return counts
+		// Sweep the stops and resets across many cycle offsets so some
+		// land inside a contender's batch. The EEMBC-like contenders miss
+		// IL1 on every line of their first pass, which cuts their batches
+		// short; the later stops find them warm, with DL1-hit loads and
+		// new lines inside their batches.
+		for _, stopIters := range []uint64{3, 5, 8, 13, 21, 34, 55, 89, 144} {
+			sys.RunUntil(func() bool { return sys.Core(0).Iters() >= stopIters }, 1<<22)
+			read()
+			sys.ResetStats()
+			read()
+			sys.RunUntil(func() bool { return sys.Core(0).Iters() >= stopIters+2 }, 1<<22)
+			read()
+		}
+		return readings
 	}
-	for _, eembc := range [][]string{nil, {"basefp", "iirflt", "aifftr"}} {
+	for _, eembc := range [][]string{nil, {"basefp", "iirflt", "aifftr"}, {"tblook", "cacheb", "pntrch"}} {
 		slow := run(Oracle, eembc)
 		for _, e := range []Engine{Event, Steady} {
 			if fast := run(e, eembc); !reflect.DeepEqual(slow, fast) {
-				t.Errorf("contenders %v, engine %d: per-core counters diverge:\ncycle-by-cycle: %v\nfast-forward:   %v",
-					eembc, e, slow, fast)
+				for i := range slow {
+					if slow[i] != fast[i] {
+						t.Errorf("contenders %v, engine %d: reading %d (core %d) diverges:\ncycle-by-cycle: %+v\nfast-forward:   %+v",
+							eembc, e, i, i%cfg.Cores, slow[i], fast[i])
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestMaxCyclesExitReadsMatchOracle(t *testing.T) {
+	t.Parallel()
+	// A run that stops at maxCycles rather than on its predicate may have
+	// jumped over idle cycles up to the limit, which the cycle-by-cycle
+	// loop ticks: stall spans open there and batches still in flight must
+	// read as the Oracle's, and a reset right after must split them alike.
+	// An rsk:store scua keeps its store buffer full (an open stall span);
+	// the EEMBC-like contenders stop mid-batch.
+	cfg := NGMPRef()
+	run := func(e Engine, limit uint64) []coreReading {
+		b := kernel.NewBuilder(cfg.DL1, cfg.IL1, cfg.L2)
+		progs := make([]*isa.Program, cfg.Cores)
+		var err error
+		for c := range progs {
+			if c == 0 {
+				progs[c], err = b.RSK(c, isa.OpStore)
+			} else {
+				prof, _ := workload.ByName([]string{"basefp", "tblook", "cacheb"}[c-1])
+				progs[c], err = prof.Build(c, 3)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys, err := NewSystem(cfg, progs, make([]uint64, cfg.Cores))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.setEngine(e)
+		var readings []coreReading
+		read := func() {
+			for c := 0; c < cfg.Cores; c++ {
+				core := sys.Core(c)
+				readings = append(readings, coreReading{core.Counters(), core.DL1().Stats(), core.IL1().Stats()})
+			}
+		}
+		sys.RunUntil(func() bool { return false }, limit)
+		read()
+		sys.ResetStats()
+		sys.RunUntil(func() bool { return false }, limit+97)
+		read()
+		return readings
+	}
+	for limit := uint64(20_000); limit < 20_060; limit++ {
+		slow := run(Oracle, limit)
+		for _, e := range []Engine{Event, Steady} {
+			if fast := run(e, limit); !reflect.DeepEqual(slow, fast) {
+				t.Fatalf("limit %d, engine %d: readings diverge:\ncycle-by-cycle: %+v\nfast-forward:   %+v", limit, e, slow, fast)
 			}
 		}
 	}
@@ -229,9 +305,9 @@ func TestFastForwardIALUGrantEquivalence(t *testing.T) {
 	t.Parallel()
 	// Grant-level equivalence for a mixed-latency ALU body: runs of
 	// IALU(0) (IntLatency) and IALU(3) interleaved with loads, so
-	// batches span latency changes, split at loads and fetch lines, and
-	// stop short of the loop branch. Every grant must match the scalar
-	// run exactly.
+	// batches span latency changes and fetch lines, stop at loads that
+	// miss DL1 and stop short of the loop branch. Every grant must match
+	// the scalar run exactly.
 	cfg := NGMPRef()
 	mk := func() []*isa.Program {
 		base := uint64(0x1000_0000)

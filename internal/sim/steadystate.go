@@ -63,6 +63,12 @@ var ssFingerprint func(*System) statehash.Sum
 // while a candidate period awaits confirmation.
 var ssStreams = sync.Pool{New: func() any { return new([]uint64) }}
 
+// ssDetectors pools the detectors themselves (a ring of snapshots, about
+// 14 KB before their slices): a System takes one at the first Steady run
+// that arms it and Release hands it back, snapshot storage included, so
+// Event and Oracle Systems never allocate one.
+var ssDetectors = sync.Pool{New: func() any { return new(ssDetector) }}
+
 // Detector tuning. The ring must span at least one full period of
 // observations for a recurrence to be found: with one observation per
 // watched-core iteration, 32 covers every periodic kernel in the package
@@ -120,14 +126,12 @@ func (sn *ssSnapshot) take(s *System) {
 	sn.dl1, sn.il1 = sn.dl1[:n], sn.il1[:n]
 	sn.cycle = s.cycle
 	for i, c := range s.cores {
-		sn.ctr[i] = c.Counters()
+		sn.ctr[i], sn.dl1[i], sn.il1[i] = c.Observe()
 		sb := c.StoreBuffer()
 		sn.sb[i] = [3]uint64{sb.Pushes, sb.FullStalls, sb.Drains}
-		sn.dl1[i] = c.DL1().Stats()
-		sn.il1[i] = c.IL1().Stats()
 	}
 	sn.l2 = s.l2.Stats()
-	sn.bus = s.bus.Stats()
+	s.bus.StatsInto(&sn.bus)
 	sn.gamma = append(sn.gamma[:0], s.bus.GammaHist()...)
 	sn.cont = append(sn.cont[:0], s.bus.ContendersHist()...)
 	sn.mem = s.mc.Stats()
@@ -262,11 +266,12 @@ func (d *ssDelta) maxesHeld() bool {
 	return d.mem.MaxQueue == 0
 }
 
-// ssDetector is the per-System detector state. It is re-armed at every
-// event-driven RunUntil entry and performs at most one leap per run. The
-// snapshot ring parallels the fingerprint ring: snaps[i] holds the
-// observables at the cycle ring[i] was recorded, so a recurrence against
-// ring[i] yields its period's delta with no further simulation.
+// ssDetector is the per-System detector state, taken from ssDetectors. It
+// is re-armed at every event-driven RunUntil entry and performs at most
+// one leap per run. The snapshot ring parallels the fingerprint ring:
+// snaps[i] holds the observables at the cycle ring[i] was recorded, so a
+// recurrence against ring[i] yields its period's delta with no further
+// simulation.
 type ssDetector struct {
 	state     uint8
 	budget    int
@@ -293,12 +298,17 @@ type ssDetector struct {
 // histograms are native bus counters, not hooks, so γ collection keeps the
 // fast path available.
 func (s *System) ssArm() {
-	d := &s.ss
 	if s.engine != Steady ||
 		s.bus.OnGrant != nil || s.bus.OnSubmit != nil || !s.bus.CanDigest() {
-		d.state = ssOff
+		if s.ss != nil {
+			s.ss.state = ssOff
+		}
 		return
 	}
+	if s.ss == nil {
+		s.ss = ssDetectors.Get().(*ssDetector)
+	}
+	d := s.ss
 	d.state = ssScan
 	d.ringN, d.ringPos = 0, 0
 	d.floor = 0
@@ -353,7 +363,7 @@ func (s *System) ssDigest(words []uint64) statehash.Sum {
 // ssRecord stores the full state stream at a candidate's first end (T1):
 // words, then every cache walked in full.
 func (s *System) ssRecord(words []uint64) {
-	d := &s.ss
+	d := s.ss
 	if d.stream == nil {
 		d.stream = ssStreams.Get().(*[]uint64)
 	}
@@ -391,9 +401,10 @@ func (s *System) ssMatch(words []uint64) bool {
 	return ok && len(rec) == 0
 }
 
-// dropStream hands a held recording back to the pool.
+// dropStream hands a held recording back to the pool. A System without a
+// detector holds none.
 func (d *ssDetector) dropStream() {
-	if d.stream != nil {
+	if d != nil && d.stream != nil {
 		ssStreams.Put(d.stream)
 		d.stream = nil
 	}
@@ -429,7 +440,7 @@ func (s *System) ssApply(d *ssDelta, k uint64) {
 // stream, after which the leap executes. Any mismatch drops back to
 // scanning with the observation history intact.
 func (s *System) ssObserve(pred func() bool, maxCycles uint64) {
-	d := &s.ss
+	d := s.ss
 	if d.budget--; d.budget < 0 {
 		d.state = ssOff
 		d.dropStream()
@@ -527,7 +538,7 @@ func (d *ssDetector) push(s *System, sum statehash.Sum, cycle uint64) {
 // predicate's exact firing step itself, so results are bit-identical to
 // never having leapt.
 func (s *System) ssLeap(pred func() bool, maxCycles uint64) {
-	d := &s.ss
+	d := s.ss
 	d.state = ssOff // one leap per RunUntil; the rest of the run is live
 	p := d.period
 	kCap := (maxCycles - s.cycle) / p

@@ -30,7 +30,7 @@ const (
 	Steady Engine = iota
 	// Event jumps from event to event, executing every period.
 	Event
-	// Oracle ticks every component every cycle with instruction-run
+	// Oracle ticks every component every cycle with instruction
 	// batching off: the legacy loop the other engines are diffed against.
 	Oracle
 )
@@ -66,11 +66,12 @@ type System struct {
 	// it.
 	checkPredicates bool
 
-	// ss is the per-system steady-state detector, re-armed at every
-	// event-driven RunUntil entry, and ssWatch the core whose iteration
-	// boundaries it observes (the scua under the measurement harness).
+	// ss is the per-system steady-state detector, taken from its pool at
+	// the first Steady RunUntil and re-armed at every event-driven entry
+	// (nil until then), and ssWatch the core whose iteration boundaries it
+	// observes (the scua under the measurement harness).
 	ssWatch int
-	ss      ssDetector
+	ss      *ssDetector
 
 	// Event scheduler state (event-driven RunUntil only). eq registers
 	// each component's next self-scheduled cycle (cores by index, then
@@ -283,8 +284,10 @@ func (s *System) pushTxn(addr uint64, write bool, origPort int, tag uint64, cycl
 	t.OrigPort = origPort
 	t.Tag = tag
 	if !s.mc.Push(t, cycle) {
-		s.mc.Recycle(t)
-		return
+		// Config.Validate admits only the unbounded queue, and nothing
+		// could retry a rejected transaction: a dropped read would leave
+		// its core waiting forever.
+		panic("sim: memory controller rejected a transaction")
 	}
 	// A push during completion dispatch must reach the controller's Tick
 	// in this same cycle (the legacy phase order runs dispatch before
@@ -488,18 +491,35 @@ func (s *System) primeEvents() {
 	s.eq.Update(s.busID, s.bus.NextEvent(c))
 }
 
-// syncCores charges open stall spans and advances every core's counter
-// read point to the last executed cycle, exactly as the legacy loop's
-// per-cycle ticks would have; called whenever the event-driven RunUntil
-// stops. Deferred bus submissions already past their ready cycle are
-// activated too: the legacy loop would have entered them into the pending
-// set (and fired any OnSubmit hook) by now, and harnesses install hooks
-// and read bus state between runs, so the run must not leave them latent.
+// syncCores charges open stall spans and advances every core's read
+// point to the cycle before the clock, the last cycle the legacy loop
+// would have ticked, exactly as its per-cycle ticks would have, and takes
+// the L1 hits of in-flight batches that issue after it out of the caches'
+// statistics (Core.SyncNow); called whenever RunUntil stops, and undone
+// by resumeCores when the next run starts. A run that stops on pred stops
+// one cycle after its last step; one that runs out of cycles may have
+// jumped over idle cycles up to maxCycles, which the legacy loop ticks.
+// Deferred bus submissions already past their ready cycle are activated
+// too: the legacy loop would have entered them into the pending set (and
+// fired any OnSubmit hook) by now, and harnesses install hooks and read
+// bus state between runs, so the run must not leave them latent.
 func (s *System) syncCores() {
-	for _, core := range s.cores {
-		core.SyncNow(s.lastExec)
+	if s.cycle > 0 {
+		for _, core := range s.cores {
+			core.SyncNow(s.cycle - 1)
+		}
 	}
 	s.bus.ActivatePast(s.cycle)
+}
+
+// resumeCores hands every core back the L1 hits syncCores or ResetStats
+// held out of its caches' statistics (Core.Resume), at the start of a
+// run: while a run executes, the caches count a batch's hits when the
+// batch issues.
+func (s *System) resumeCores() {
+	for _, core := range s.cores {
+		core.Resume()
+	}
 }
 
 // RunUntil steps the system until pred returns true or maxCycles elapse; it
@@ -523,7 +543,10 @@ func (s *System) syncCores() {
 // several cycles at once, so a predicate triggering on a raw cycle
 // threshold can be observed later than under cycle-by-cycle execution.
 // Bound runs in time with maxCycles — the jump never passes it — or
-// measure with the Oracle engine (RunOpts.Engine).
+// measure with the Oracle engine (RunOpts.Engine). While a run executes,
+// a core's L1 statistics already count the hits of its in-flight batch; a
+// predicate that needs them reads Core.Observe, which splits the batch
+// as Counters does. Once RunUntil returns, the caches' Stats are exact.
 func (s *System) RunUntil(pred func() bool, maxCycles uint64) bool {
 	startSteps, startCycle := s.steps, s.cycle
 	defer func() {
@@ -535,6 +558,8 @@ func (s *System) RunUntil(pred func() bool, maxCycles uint64) bool {
 	if pred() {
 		return true
 	}
+	s.resumeCores()
+	defer s.syncCores()
 	if s.engine == Oracle {
 		for s.cycle < maxCycles {
 			s.Step()
@@ -555,16 +580,15 @@ func (s *System) RunUntil(pred func() bool, maxCycles uint64) bool {
 		// holds, so the clock must not skip ahead past the satisfying
 		// step (the jump would inflate the measured window).
 		if pred() {
-			s.syncCores()
 			return true
 		}
 		// Steady-state detection observes at the watched core's iteration
 		// boundaries, after pred declined to stop here; a successful leap
 		// advances cycle and all counters in closed form and the loop
 		// continues live from the shifted state.
-		if s.ss.state != ssOff {
-			if it := s.cores[s.ssWatch].Iters(); it != s.ss.lastIters {
-				s.ss.lastIters = it
+		if d := s.ss; d != nil && d.state != ssOff {
+			if it := s.cores[s.ssWatch].Iters(); it != d.lastIters {
+				d.lastIters = it
 				s.ssObserve(pred, maxCycles)
 			}
 		}
@@ -577,7 +601,6 @@ func (s *System) RunUntil(pred func() bool, maxCycles uint64) bool {
 	}
 	// pred was false after the last executed step and jumps change no
 	// simulated state, so it is still false here.
-	s.syncCores()
 	return false
 }
 
@@ -602,7 +625,7 @@ func (s *System) checkPredicate(pred func() bool) {
 }
 
 // setEngine selects the execution engine. Oracle also turns off the
-// cores' instruction-run batching, so every instruction issues in its own
+// cores' instruction batching, so every instruction issues in its own
 // tick as in the legacy loop.
 func (s *System) setEngine(e Engine) {
 	s.engine = e
@@ -621,14 +644,20 @@ func (s *System) SetWatchCore(core int) {
 	s.ssWatch = core
 }
 
-// Release returns the system's pooled resources — every cache's line
-// arrays — to their shape-keyed pools for reuse by the next System of the
-// same configuration. The system is unusable afterwards. Harnesses that
+// Release returns the system's pooled resources to their pools for reuse:
+// every cache's line arrays (shape-keyed, for the next System of the same
+// configuration) and the steady-state detector. The system is unusable
+// afterwards. Harnesses that
 // build and discard Systems in bulk (sim.Run, and through it every sweep
 // of the experiment engine) call it once the measurement is extracted;
 // long-lived Systems (examples, interactive exploration) may simply not
 // call it and let the garbage collector reclaim everything.
 func (s *System) Release() {
+	if s.ss != nil {
+		s.ss.dropStream()
+		ssDetectors.Put(s.ss)
+		s.ss = nil
+	}
 	s.l2.Release()
 	for _, c := range s.cores {
 		c.DL1().Release()
@@ -638,14 +667,14 @@ func (s *System) Release() {
 
 // ResetStats clears every statistic (bus, caches, memory, core counters) so
 // a measurement window excludes warmup effects. Architectural state (cache
-// contents, store buffers, in-flight transactions) is preserved.
+// contents, store buffers, in-flight transactions) is preserved. Each
+// core resets its own counters and L1 statistics, splitting an in-flight
+// batch at the current cycle (Core.ResetCounters).
 func (s *System) ResetStats() {
 	s.bus.ResetStats()
 	s.l2.ResetStats()
 	s.mc.ResetStats()
 	for _, c := range s.cores {
-		c.DL1().ResetStats()
-		c.IL1().ResetStats()
 		c.ResetCounters(s.cycle)
 	}
 }

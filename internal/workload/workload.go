@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"rrbus/internal/isa"
 )
@@ -162,13 +163,31 @@ func dataBase(core int) uint64 { return 0x1000_0000 * uint64(core+1) }
 
 func codeBase(core int) uint64 { return 0x4000_0000 + uint64(core)<<20 }
 
+// rngs pools the generators Build draws from. Seeding one restarts the
+// sequence a fresh rand.NewSource of that seed produces, without
+// allocating the source's 5 KB of state for every program.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Build generates the profile's program for the given core. The same
 // (profile, core, seed) triple always yields the identical program.
 func (p Profile) Build(core int, seed uint64) (*isa.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(int64(seed ^ uint64(core)*0x9E3779B97F4A7C15 ^ hashName(p.Name))))
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	rng.Seed(p.seed(core, seed))
+	return p.build(core, rng)
+}
+
+// seed is the generator seed of the (profile, core, seed) triple.
+func (p Profile) seed(core int, seed uint64) int64 {
+	return int64(seed ^ uint64(core)*0x9E3779B97F4A7C15 ^ hashName(p.Name))
+}
+
+// build generates the program for core, drawing from rng as seeded by
+// Build.
+func (p Profile) build(core int, rng *rand.Rand) (*isa.Program, error) {
 	const lineBytes = 32
 	lines := p.WorkingSet / lineBytes
 	if lines < 1 {

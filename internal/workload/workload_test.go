@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -279,6 +281,30 @@ func TestHeavyProfilesConflictInDL1(t *testing.T) {
 		}
 		if conflicts != tc.heavy {
 			t.Errorf("%s: DL1 conflicts = %v, want %v", tc.name, conflicts, tc.heavy)
+		}
+	}
+}
+
+// TestBuildReusesGeneratorsExactly builds every profile on cores 0–7 at
+// several seeds through Build, whose pooled generators were seeded and
+// drawn from by the builds before, and from a generator made fresh for
+// the same seed, and requires identical programs.
+func TestBuildReusesGeneratorsExactly(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 7, 1 << 40} {
+		for _, p := range Profiles() {
+			for core := 0; core < 8; core++ {
+				pooled, err := p.Build(core, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := p.build(core, rand.New(rand.NewSource(p.seed(core, seed))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(pooled, fresh) {
+					t.Fatalf("%s core %d seed %d: pooled generator builds a different program", p.Name, core, seed)
+				}
+			}
 		}
 	}
 }
